@@ -6,6 +6,8 @@ in-process federated training simulator with shared/local parameter
 decoupling, dataset tooling, and an experiment harness with a CLI.
 """
 
+__version__ = "0.1.0"
+
 from .autodiff import (
     AttentionWeights,
     FeedForwardWeights,
@@ -47,7 +49,6 @@ from .federation import (
     aggregate,
     client_update,
     init_global_shared,
-    partition,
     run_federation,
     server_step,
 )
@@ -58,7 +59,5 @@ from .harness import (
     persistence_baseline,
     run_experiment,
 )
-from .model import ForecastSample, ModelDims, NodeShapeConfig, PiXTime, patch_split
-from .optim import Adam, AdamState, adam_step, grad_check
-
-__version__ = "0.1.0"
+from .model import ModelDims, NodeShapeConfig, PiXTime, partition, patch_split
+from .optim import Adam, grad_check

@@ -4,8 +4,8 @@ The tape records composite operations (matmul, softmax, layer_norm,
 attention, ffn, mse, concat, slicing, ...) instead of an elementwise
 scalar graph, so every backward rule is a short numpy expression that can
 be checked by hand. Values are float64 throughout and immutable once
-created; a non-finite result from finite inputs raises instead of
-propagating silently.
+created; a non-finite result raises instead of propagating silently,
+saying whether the operation or its inputs were at fault.
 """
 
 from dataclasses import dataclass
@@ -131,7 +131,9 @@ def as_tensor(x) -> Tensor:
 def _result(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable, op: str) -> Tensor:
     """Wrap a forward result, attaching it to the tape when needed."""
     if not np.all(np.isfinite(data)):
-        raise NumericError(f"{op} produced non-finite values from finite inputs")
+        if all(np.all(np.isfinite(p.data)) for p in parents):
+            raise NumericError(f"{op} produced non-finite values from finite inputs")
+        raise NumericError(f"{op} received non-finite input values")
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -193,11 +195,12 @@ def backward(loss: Tensor) -> None:
                 acc = adjoint.get(id(parent))
                 adjoint[id(parent)] = pg if acc is None else acc + pg
         else:
-            # leaf: accumulate into the persistent gradient
+            # leaf: accumulate in place, so a gradient that is a view of a
+            # model's gradient vector stays one
             if node.grad is None:
                 node.grad = g.copy()
             else:
-                node.grad = node.grad + g
+                node.grad += g
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ its auxiliaries by construction.
 """
 
 import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +57,7 @@ def load_csv(path, dt: float = 1.0) -> RawDataset:
     """Read a comma-separated dataset with a header row.
 
     A leading "date" column is dropped from the values but its presence
-    is recorded. Every remaining cell must parse as a real number.
+    is recorded. Every remaining cell must parse as a finite real number.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -81,12 +82,16 @@ def load_csv(path, dt: float = 1.0) -> RawDataset:
             parsed = []
             for col, cell in enumerate(cells):
                 try:
-                    parsed.append(float(cell))
+                    value = float(cell)
                 except ValueError:
+                    value = None
+                if value is None or not math.isfinite(value):
+                    kind = "non-numeric" if value is None else "non-finite"
                     raise ParseError(
-                        f"{path}: non-numeric cell at row {lineno}, column "
+                        f"{path}: {kind} cell at row {lineno}, column "
                         f"{names[col]!r}: {cell!r}"
-                    ) from None
+                    )
+                parsed.append(value)
             rows.append(parsed)
     values = np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
     return RawDataset(column_names=names, values=values, dt=dt, has_timestamp=has_timestamp)
@@ -124,29 +129,11 @@ def standardize(data: RawDataset, split: SplitSpec) -> tuple:
     return out, means, stds
 
 
-def downsample(values: np.ndarray, k: int, method: str = "stride") -> np.ndarray:
-    """Coarsen the time axis by factor k (rows 0, k, 2k, ...).
-
-    method="mean" averages each block of k rows instead of point-sampling;
-    trailing rows that do not fill a block are dropped in that mode.
-    """
+def downsample(values: np.ndarray, k: int) -> np.ndarray:
+    """Coarsen the time axis by factor k (rows 0, k, 2k, ...)."""
     if k < 1:
         raise ConfigError(f"downsample stride must be >= 1, got {k}")
-    if method == "stride":
-        return values[::k]
-    if method == "mean":
-        n = (values.shape[0] // k) * k
-        return values[:n].reshape(-1, k, *values.shape[1:]).mean(axis=1)
-    raise ConfigError(f"unknown downsample method {method!r}")
-
-
-def downsample_dataset(data: RawDataset, k: int, method: str = "stride") -> RawDataset:
-    return RawDataset(
-        column_names=list(data.column_names),
-        values=downsample(data.values, k, method),
-        dt=data.dt * k,
-        has_timestamp=data.has_timestamp,
-    )
+    return values[::k]
 
 
 def make_windows(series, T: int, S: int) -> np.ndarray:
@@ -258,7 +245,7 @@ class NodeDataView:
 
 def build_node_views(standardized: np.ndarray, cfg: NodeShapeConfig, split: SplitSpec,
                      partition_count: int = 1, partition_rank: int = 0,
-                     stride: int = 1, downsample_method: str = "stride") -> dict:
+                     stride: int = 1) -> dict:
     """Construct train/val/test views for one node.
 
     The node sees the full standardized matrix at its own granularity
@@ -267,7 +254,7 @@ def build_node_views(standardized: np.ndarray, cfg: NodeShapeConfig, split: Spli
     granularity (rank `partition_rank`); every node evaluates the full
     test split.
     """
-    series = downsample(standardized, stride, downsample_method)
+    series = downsample(standardized, stride)
     n = series.shape[0]
     train_end, val_end = split.boundaries(n)
 
@@ -308,10 +295,3 @@ def gather_batch(view: NodeDataView, starts) -> tuple:
     y = view.series[out_rows, cfg.target_id]
     return x, Z, y
 
-
-def sample_at(view: NodeDataView, start: int):
-    """Materialize the single window at `start` as a ForecastSample."""
-    from .model import ForecastSample
-
-    x, Z, y = gather_batch(view, [start])
-    return ForecastSample(x=x[0], Z=Z[0], y=y[0], var_ids=list(view.cfg.var_ids))

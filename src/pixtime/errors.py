@@ -14,7 +14,7 @@ class TapeError(PixTimeError):
 
 
 class NumericError(PixTimeError):
-    """A forward operation produced NaN or Inf from finite inputs."""
+    """A forward operation produced NaN or Inf."""
 
 
 class DeterminismError(PixTimeError):

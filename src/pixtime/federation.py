@@ -17,31 +17,8 @@ import numpy as np
 from .autodiff import backward, mse
 from .data import NodeDataView, gather_batch
 from .errors import AggregationError, ConfigError, DivergenceError, NumericError, PartitionError
-from .model import ModelDims, NodeShapeConfig, PiXTime
+from .model import ModelDims, NodeShapeConfig, PiXTime, named_views, partition
 from .optim import Adam
-
-SHARED_ROOTS = frozenset({"ve_table", "aux_encoder", "target_decoder"})
-LOCAL_ROOTS = frozenset(
-    {"patch_linear", "abstract_token", "ve_linear", "projection", "pos_embed"}
-)
-
-
-def is_shared(name: str) -> bool:
-    """Classify a parameter path; unknown roots fail closed."""
-    root = name.split(".", 1)[0]
-    if root in SHARED_ROOTS:
-        return True
-    if root in LOCAL_ROOTS:
-        return False
-    raise PartitionError(f"parameter {name!r} is neither shared nor local")
-
-
-def partition(params: dict) -> tuple:
-    """Split a named parameter map into (shared, local) sub-maps."""
-    shared, local = {}, {}
-    for name, p in params.items():
-        (shared if is_shared(name) else local)[name] = p
-    return shared, local
 
 
 @dataclass
@@ -88,7 +65,7 @@ class FederatedNode:
             dims, cfg, seed=seed, use_ve=use_ve, use_pos_embed=use_pos_embed
         )
         self.views = views
-        self.optimizer = Adam(self.model.parameters(), lr=lr)
+        self.optimizer = Adam(self.model.values, self.model.grads, lr=lr)
         self.batch_size = batch_size
         self.shuffle = shuffle
         self.reset_opt_per_round = reset_opt_per_round
@@ -104,8 +81,7 @@ class FederatedNode:
         return self.views["train"]
 
     def shared_values(self) -> dict:
-        shared, _ = partition(self.model.params)
-        return {name: p.data.copy() for name, p in shared.items()}
+        return self.model.shared_values()
 
     def load_shared(self, values: dict) -> None:
         shared, _ = partition(self.model.params)
@@ -113,8 +89,10 @@ class FederatedNode:
             raise PartitionError(
                 f"node {self.node_id}: shared name sets differ on broadcast"
             )
-        for name, p in shared.items():
-            p.data[...] = values[name]
+        np.concatenate(
+            [np.ravel(values[name]) for name in shared],
+            out=self.model.values[: self.model.n_shared],
+        )
 
     def ve_usage(self) -> np.ndarray:
         mask = np.zeros(self.dims.n_all, dtype=bool)
@@ -156,11 +134,12 @@ def client_update(node: FederatedNode, global_shared: dict, epochs: int) -> tupl
     rounds; only shared-parameter changes leave it.
     """
     node.load_shared(global_shared)
+    segment = node.model.values[: node.model.n_shared]
+    start = segment.copy()
     if node.reset_opt_per_round:
         node.optimizer.reset_state()
     mean_loss = node.train_epochs(epochs)
-    trained = node.shared_values()
-    deltas = {name: trained[name] - global_shared[name] for name in global_shared}
+    deltas = node.model.shared_views(segment - start)
     weight = float(epochs * len(node.train_view.starts))
     return (
         ClientDelta(
@@ -229,28 +208,21 @@ class ServerSGD:
 
 
 class ServerAdam:
-    """Adaptive server optimizer treating the negated pseudo-gradient as grad."""
+    """Adam on a flat copy of the shared state, with grad = -pseudo-gradient."""
 
     def __init__(self, lr: float = 1e-2, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m, self.v = {}, {}
-        self.t = 0
+        self.settings = (lr, beta1, beta2, eps)
+        self.adam = None
 
     def apply(self, global_shared: dict, pseudo: dict) -> dict:
-        self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        out = {}
-        for name, value in global_shared.items():
-            g = -pseudo[name]
-            m = self.m.get(name, np.zeros_like(value))
-            v = self.v.get(name, np.zeros_like(value))
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
-            self.m[name], self.v[name] = m, v
-            out[name] = value - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-        return out
+        values = np.concatenate([np.ravel(v) for v in global_shared.values()])
+        grads = -np.concatenate([np.ravel(pseudo[name]) for name in global_shared])
+        if self.adam is None:
+            self.adam = Adam(values, grads, *self.settings)
+        self.adam.values, self.adam.grads = values, grads
+        self.adam.step()
+        return named_views(values, {name: v.shape for name, v in global_shared.items()})
 
 
 def make_server_optimizer(kind: str, lr: float | None = None):
@@ -274,11 +246,7 @@ def server_step(global_shared: dict, pseudo: dict, optimizer=None) -> dict:
 
 
 def _shared_digest(node: FederatedNode) -> str:
-    h = hashlib.sha256()
-    for name in sorted(n for n in node.model.params if is_shared(n)):
-        h.update(name.encode())
-        h.update(np.ascontiguousarray(node.model.params[name].data).tobytes())
-    return h.hexdigest()[:16]
+    return hashlib.sha256(node.model.values[: node.model.n_shared].tobytes()).hexdigest()[:16]
 
 
 def run_federation(
@@ -334,5 +302,5 @@ def init_global_shared(dims: ModelDims, seed: int) -> dict:
         node_id=-1, T=1, C=0, S=1, PL=1, var_ids=[], target_id=0, dt=1.0
     )
     model = PiXTime(dims, ref, seed=seed)
-    shared, _ = partition(model.params)
-    return {name: p.data.copy() for name, p in shared.items()}
+    # nothing else holds the reference model, so its segment needs no copy
+    return model.shared_views(model.values[: model.n_shared])

@@ -7,13 +7,16 @@ three artifacts into its output directory: a config echo, a metrics JSON
 log CSV (which carries the only wall-clock fields).
 """
 
+import inspect
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .autodiff import mse, no_grad
 from .data import (
     NodeDataView,
@@ -36,12 +39,13 @@ from .federation import (
 from .model import ModelDims, NodeShapeConfig, PiXTime
 from .optim import grad_check
 
-BUILD_ID = "pixtime-0.1.0"
-
 
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
+
+# the keys a dataset.synthetic block may hold
+_SYNTHETIC_SIGNATURE = inspect.signature(generate_synthetic)
 
 MODES = (
     "central",
@@ -147,6 +151,14 @@ class ExperimentConfig:
             raise ConfigError(f"epochs={self.optimizer.epochs} must be >= 0")
         if self.optimizer.batch_size < 1:
             raise ConfigError(f"batch_size={self.optimizer.batch_size} must be >= 1")
+        rates = {"lr": self.optimizer.lr}
+        if self.optimizer.server_lr is not None:
+            rates["server_lr"] = self.optimizer.server_lr
+        for label, value in rates.items():
+            if not (isinstance(value, (int, float)) and 0 < value < math.inf):
+                raise ConfigError(f"{label}={value!r} must be a positive finite number")
+        if self.n_seeds < 1:
+            raise ConfigError(f"n_seeds={self.n_seeds} must be >= 1")
         net = self.network
         if net.n_nodes < 1:
             raise ConfigError(f"n_nodes={net.n_nodes} must be >= 1")
@@ -167,6 +179,11 @@ class ExperimentConfig:
                     )
         if self.dataset.csv is None and self.dataset.synthetic is None:
             raise ConfigError("dataset requires either a csv path or a synthetic spec")
+        if self.dataset.csv is None:
+            try:
+                _SYNTHETIC_SIGNATURE.bind(**{"seed": self.seed, **self.dataset.synthetic})
+            except TypeError as exc:
+                raise ConfigError(f"invalid synthetic block: {exc}") from None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -548,7 +565,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     t0 = time.perf_counter()
     round_rows: list = []
     metrics: dict = {
-        "build": BUILD_ID,
+        "build": f"pixtime-{__version__}",
         "mode": config.mode,
         "seed": config.seed,
     }

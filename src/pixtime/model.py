@@ -12,7 +12,9 @@ to the forecast horizon.
 Patch embedding, the abstract token, the variable-wise input projection
 and the projection head are node-local (their shapes depend on the node's
 look-back/horizon lengths); the variable-embedding table, encoder and
-decoder are shared across the federation.
+decoder are shared across the federation. Every parameter's value and
+gradient is a view into one value vector and one gradient vector per
+model, laid out with the shared segment first.
 
 Cross-attention writes into the abstract token only; that content reaches
 the patch tokens through the next layer's self-attention, so auxiliary
@@ -20,7 +22,8 @@ information influences the forecast when the decoder has at least two
 layers (the default harness configuration uses L=2).
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,9 +36,57 @@ from .autodiff import (
     Tensor,
     as_tensor,
 )
-from .errors import CategoryError, ConfigError, ShapeError
+from .errors import CategoryError, ConfigError, PartitionError, ShapeError
 
 LN_EPS = 1e-5
+
+SHARED_ROOTS = frozenset({"ve_table", "aux_encoder", "target_decoder"})
+LOCAL_ROOTS = frozenset(
+    {"patch_linear", "abstract_token", "ve_linear", "projection", "pos_embed"}
+)
+
+
+def is_shared(name: str) -> bool:
+    """Classify a parameter path; unknown roots fail closed."""
+    root = name.split(".", 1)[0]
+    if root in SHARED_ROOTS:
+        return True
+    if root in LOCAL_ROOTS:
+        return False
+    raise PartitionError(f"parameter {name!r} is neither shared nor local")
+
+
+def partition(params: dict) -> tuple:
+    """Split a named parameter map into (shared, local) sub-maps."""
+    shared, local = {}, {}
+    for name, p in params.items():
+        (shared if is_shared(name) else local)[name] = p
+    return shared, local
+
+
+def named_views(flat: np.ndarray, shapes: dict) -> dict:
+    """Name -> view of consecutive segments of `flat`, in the order of `shapes`."""
+    views, offset = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = flat[offset : offset + size].reshape(shape)
+        offset += size
+    return views
+
+
+def pack(params: dict) -> tuple:
+    """Move parameters into one value vector and one gradient vector.
+
+    Returns (values, grads); afterwards every parameter's `data` and
+    `grad` are views of its segment, in dict order.
+    """
+    shapes = {name: p.shape for name, p in params.items()}
+    values = np.concatenate([p.data.ravel() for p in params.values()])
+    grads = np.zeros(values.size)
+    data, grad = named_views(values, shapes), named_views(grads, shapes)
+    for name, p in params.items():
+        p.data, p.grad = data[name], grad[name]
+    return values, grads
 
 
 @dataclass(frozen=True)
@@ -94,16 +145,6 @@ class NodeShapeConfig:
         return self.T // self.PL
 
 
-@dataclass
-class ForecastSample:
-    """One training/evaluation instance at a node's granularity."""
-
-    x: np.ndarray
-    Z: np.ndarray
-    y: np.ndarray
-    var_ids: list = field(default_factory=list)
-
-
 def patch_split(x, PL: int) -> Tensor:
     """Split the last axis into non-overlapping patches of length PL.
 
@@ -123,7 +164,11 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 class PiXTime:
-    """One node's model instance: parameters plus the forward operations."""
+    """One node's model instance: parameters plus the forward operations.
+
+    `values` and `grads` hold every parameter; the first `n_shared`
+    scalars are the shared segment, in `partition` order.
+    """
 
     def __init__(
         self,
@@ -144,6 +189,10 @@ class PiXTime:
         self.use_pos_embed = use_pos_embed
         self.params: dict[str, Parameter] = {}
         self._build(np.random.default_rng(seed))
+        shared, local = partition(self.params)
+        self.params = {**shared, **local}
+        self.n_shared = sum(p.size for p in shared.values())
+        self.values, self.grads = pack(self.params)
 
     # -- construction -----------------------------------------------------
 
@@ -229,6 +278,15 @@ class PiXTime:
 
     def parameters(self) -> dict[str, Parameter]:
         return self.params
+
+    def shared_views(self, flat: np.ndarray) -> dict:
+        """Name -> view of `flat`, a vector laid out like the shared segment."""
+        shared, _ = partition(self.params)
+        return named_views(flat, {name: p.shape for name, p in shared.items()})
+
+    def shared_values(self) -> dict:
+        """A copy of the shared segment, as named views of that copy."""
+        return self.shared_views(self.values[: self.n_shared].copy())
 
     # -- forward operations ------------------------------------------------
 
@@ -362,17 +420,3 @@ class PiXTime:
         x = as_tensor(x)
         Z = ad.reshape(x, x.shape + (1,))
         return self.forward(x, Z, var_ids=[self.node.target_id])
-
-    def predict(self, sample: ForecastSample) -> Tensor:
-        """Forecast one assembled sample."""
-        ids = sample.var_ids or None
-        return self.forward(sample.x, sample.Z, var_ids=ids)
-
-
-def shared_shape_map(model: PiXTime) -> dict[str, tuple]:
-    """Name -> shape for the federated-shared parameter subset."""
-    from .federation import is_shared  # local import avoids a cycle
-
-    return {
-        name: p.shape for name, p in model.params.items() if is_shared(name)
-    }

@@ -1,24 +1,12 @@
 """Adam optimizer and the finite-difference gradient checker."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .autodiff import Parameter, backward, no_grad
 from .errors import ConfigError, DeterminismError
-
-
-@dataclass
-class AdamState:
-    """Moment estimates per parameter name plus the shared step counter."""
-
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-    t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def _as_param_dict(params) -> dict:
@@ -28,55 +16,39 @@ def _as_param_dict(params) -> dict:
 
 
 class Adam:
-    """Standard Adam with bias correction, updating parameters in place."""
+    """Adam with bias correction over a value array and its gradient array.
 
-    def __init__(self, params, lr: float = 1e-4,
+    Both arrays are updated in place; a model passes its flat `values`
+    and `grads` vectors, so one step covers every parameter.
+    """
+
+    def __init__(self, values: np.ndarray, grads: np.ndarray, lr: float = 1e-4,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = _as_param_dict(params)
-        self.lr = lr
-        self.state = AdamState(beta1=beta1, beta2=beta2, eps=eps)
-        for name, p in self.params.items():
-            self.state.m[name] = np.zeros_like(p.data)
-            self.state.v[name] = np.zeros_like(p.data)
+        self.values, self.grads = values, grads
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t, self.m, self.v = 0, None, None
 
     def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
+        self.grads[...] = 0.0
 
     def step(self) -> None:
-        s = self.state
-        s.t += 1
-        bc1 = 1.0 - s.beta1 ** s.t
-        bc2 = 1.0 - s.beta2 ** s.t
-        for name, p in self.params.items():
-            g = p.grad
-            s.m[name] = s.beta1 * s.m[name] + (1.0 - s.beta1) * g
-            s.v[name] = s.beta2 * s.v[name] + (1.0 - s.beta2) * (g * g)
-            m_hat = s.m[name] / bc1
-            v_hat = s.v[name] / bc2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + s.eps)
+        if self.t == 0:
+            # zeroed here, not at construction or reset, so building a model
+            # allocates no moments
+            self.m, self.v = np.zeros_like(self.values), np.zeros_like(self.values)
+        self.t += 1
+        m, v, g = self.m, self.v, self.grads
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (g * g)
+        update = m / (1.0 - self.beta1 ** self.t)
+        update *= self.lr
+        update /= np.sqrt(v / (1.0 - self.beta2 ** self.t)) + self.eps
+        self.values -= update
 
     def reset_state(self) -> None:
-        self.state.t = 0
-        for name in self.params:
-            self.state.m[name][...] = 0.0
-            self.state.v[name][...] = 0.0
-
-
-def adam_step(params, state: AdamState, lr: float) -> None:
-    """Functional single Adam step over a parameter set (state mutated)."""
-    params = _as_param_dict(params)
-    state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
-    for name, p in params.items():
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        g = p.grad
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
-        p.data -= lr * (state.m[name] / bc1) / (np.sqrt(state.v[name] / bc2) + state.eps)
+        self.t = 0
 
 
 @dataclass

@@ -29,6 +29,7 @@ from pixtime import (
     layer_norm,
     mse,
     multi_head_attention,
+    partition,
     persistence_baseline,
     run_experiment,
     run_federation,
@@ -37,7 +38,6 @@ from pixtime import (
 )
 from pixtime.data import SplitSpec, build_node_views, gather_batch
 from pixtime.harness import _train_central, _train_federated
-from pixtime.model import shared_shape_map
 
 
 def _report(index: int, passed: bool, detail: str) -> None:
@@ -199,8 +199,12 @@ def test_criterion_03_heterogeneous_network_round():
         views = build_node_views(base, cfg, SplitSpec(), stride=stride)
         nodes.append(FederatedNode(dims, cfg, views, seed=node_id, lr=1e-3))
 
-    maps = [shared_shape_map(n.model) for n in nodes]
-    shapes_agree = all(m == maps[0] for m in maps)
+    layouts = [
+        ([(name, p.shape) for name, p in partition(n.model.params)[0].items()],
+         n.model.n_shared)
+        for n in nodes
+    ]
+    shapes_agree = all(layout == layouts[0] for layout in layouts)
 
     global_shared = init_global_shared(dims, seed=1)
     for node in nodes:

@@ -363,8 +363,14 @@ def test_no_grad_detaches():
 
 
 def test_nonfinite_forward_raises():
-    with np.errstate(over="ignore"), pytest.raises(NumericError):
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="from finite inputs"):
         matmul(Tensor([[1e300]]), Tensor([[1e300]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_input_is_reported_as_input(bad):
+    with pytest.raises(NumericError, match="swapaxes received non-finite input"):
+        swapaxes(Tensor([[1.0, bad]]), 0, 1)
 
 
 def test_forward_determinism_bit_identical():

@@ -15,7 +15,7 @@ from pixtime import (
     standardize,
     write_csv,
 )
-from pixtime.data import build_node_views, downsample_dataset, gather_batch
+from pixtime.data import build_node_views, gather_batch
 from pixtime.errors import ConfigError, DataError, FormatError, ParseError
 from pixtime.model import NodeShapeConfig
 
@@ -55,6 +55,14 @@ def test_load_csv_non_numeric_cell(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1.0,oops\n")
     with pytest.raises(ParseError, match="row 2.*'b'"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_load_csv_non_finite_cell(tmp_path, cell):
+    path = tmp_path / "gap.csv"
+    path.write_text(f"date,a,b\n2020-01-01,1.0,2.0\n2020-01-02,3.0,{cell}\n")
+    with pytest.raises(ParseError, match=r"gap\.csv: non-finite cell at row 3, column 'b'"):
         load_csv(path)
 
 
@@ -155,18 +163,6 @@ def test_downsample_composes():
 def test_downsample_rejects_bad_stride():
     with pytest.raises(ConfigError):
         downsample(np.zeros((4, 1)), 0)
-
-
-def test_downsample_mean_mode():
-    x = np.arange(8.0).reshape(-1, 1)
-    out = downsample(x, 4, method="mean")
-    assert out.ravel().tolist() == [1.5, 5.5]
-
-
-def test_downsample_dataset_scales_dt():
-    ds = RawDataset(["a"], np.arange(10.0).reshape(-1, 1), dt=2.0)
-    coarse = downsample_dataset(ds, 5)
-    assert coarse.dt == 10.0
 
 
 # ---------------------------------------------------------------------------

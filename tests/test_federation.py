@@ -19,7 +19,9 @@ from pixtime import (
 )
 from pixtime.data import SplitSpec, build_node_views, gather_batch
 from pixtime.errors import AggregationError, PartitionError
-from pixtime.federation import ServerAdam, ServerSGD, is_shared
+from pixtime.federation import ServerAdam, ServerSGD
+from pixtime.model import is_shared
+from pixtime.optim import Adam
 
 DIMS = ModelDims(D=8, L=2, H=2, d_ff=16, n_all=5)
 
@@ -241,7 +243,20 @@ def test_server_step_zero_pseudo_gradient_is_bit_noop():
     assert np.array_equal(out["ve_table"], g["ve_table"])
 
 
-def test_server_adam_matches_scripted_recurrence():
+def _count_adam_steps(monkeypatch) -> list:
+    calls = []
+    step = Adam.step
+
+    def counted(opt):
+        calls.append(opt)
+        step(opt)
+
+    monkeypatch.setattr(Adam, "step", counted)
+    return calls
+
+
+def test_server_adam_matches_scripted_recurrence(monkeypatch):
+    calls = _count_adam_steps(monkeypatch)
     lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
     opt = ServerAdam(lr=lr, beta1=b1, beta2=b2, eps=eps)
     theta = {"w": np.array([0.5])}
@@ -251,6 +266,8 @@ def test_server_adam_matches_scripted_recurrence():
     for p in pseudos:
         theta = server_step(theta, {"w": np.array([p])}, opt)
         observed.append(float(theta["w"][0]))
+    # the server steps through the one Adam, once per round
+    assert len(calls) == len(pseudos) and len({id(c) for c in calls}) == 1
 
     # independent recurrence: Adam on the negated pseudo-gradient
     x, m, v = 0.5, 0.0, 0.0
@@ -262,6 +279,30 @@ def test_server_adam_matches_scripted_recurrence():
         x -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
         expected.append(x)
     assert np.max(np.abs(np.array(observed) - np.array(expected))) < 1e-12
+
+
+def test_server_adam_steps_all_names_as_one_flat_vector():
+    rng = np.random.default_rng(4)
+    g = {"b": rng.standard_normal(3), "a": rng.standard_normal((2, 2))}
+    p = {"a": rng.standard_normal((2, 2)), "b": rng.standard_normal(3)}
+    out = server_step(g, p, ServerAdam(lr=1e-2))
+    assert list(out) == list(g)
+    for name in g:
+        assert out[name].shape == g[name].shape
+        assert not np.shares_memory(out[name], g[name])
+        # a first Adam step moves every coordinate by about lr along the pseudo-gradient
+        assert np.allclose(out[name] - g[name], 1e-2 * np.sign(p[name]), atol=1e-8)
+
+
+def test_sgd_server_round_calls_no_adam_step(monkeypatch):
+    nodes = [make_node(node_id=i, n_nodes=2) for i in range(2)]
+    global_shared = init_global_shared(DIMS, seed=0)
+    calls = _count_adam_steps(monkeypatch)
+    run_federation(nodes, global_shared, rounds=1, epochs=1)
+    steps = sum(node.steps_taken for node in nodes)
+    assert steps > 0
+    assert {id(c) for c in calls} == {id(node.optimizer) for node in nodes}
+    assert len(calls) == steps
 
 
 def test_server_sgd_scaled_learning_rate():

@@ -44,6 +44,15 @@ INVALID_PATCHES = [
     {"mode": "never-heard-of-it"},
     {"dataset": {}},
     {"L": 0},
+    {"optimizer": {"lr": -1}},
+    {"optimizer": {"lr": 0.0}},
+    {"optimizer": {"lr": float("nan")}},
+    {"optimizer": {"lr": float("inf")}},
+    {"optimizer": {"lr": 1e-3, "server_kind": "adam", "server_lr": 0.0}},
+    {"optimizer": {"lr": 1e-3, "server_lr": float("nan")}},
+    {"n_seeds": 0},
+    {"dataset": {"synthetic": {"n_vars": 4, "length": 1000, "bogus": 1}}},
+    {"dataset": {"synthetic": {"length": 1000}}},
 ]
 
 
@@ -296,6 +305,31 @@ def test_cli_rejects_invalid_config_with_exit_2(tmp_path, capsys):
     path = _write_config(tmp_path, D=10, H=4)
     assert cli_main(["train-fed", "--config", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [
+    {"dataset": {"synthetic": {"n_vars": 4, "length": 1000, "bogus": 1}}},
+    {"optimizer": {"lr": -1, "epochs": 1}},
+    {"n_seeds": 0},
+])
+def test_cli_rejects_bad_values_with_exit_2_before_any_io(tmp_path, capsys, overrides):
+    path = _write_config(tmp_path, **overrides)
+    assert cli_main(["train-fed", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_non_finite_csv_cell_names_file_row_and_column(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    rows = ["a,b,c,d"] + [",".join(repr(float(v)) for v in r)
+                          for r in rng.standard_normal((1000, 4))]
+    rows[7] = "0.5,nan,0.5,0.5"
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("\n".join(rows) + "\n")
+    path = _write_config(tmp_path, dataset={"csv": str(csv_path)})
+    assert cli_main(["train-fed", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "data.csv: non-finite cell at row 8, column 'b'" in err
 
 
 def test_cli_seed_and_out_overrides(tmp_path):

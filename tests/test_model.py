@@ -9,8 +9,10 @@ from pixtime import (
     NodeShapeConfig,
     PiXTime,
     Tensor,
+    backward,
     grad_check,
     mse,
+    partition,
     patch_split,
 )
 from pixtime.errors import CategoryError, ConfigError, ShapeError
@@ -366,18 +368,18 @@ def test_forward_batch_matches_single():
 
 
 def test_shared_parameter_names_and_shapes_agree_across_heterogeneous_nodes():
-    from pixtime.model import shared_shape_map
-
     dims = ModelDims(D=8, L=2, H=2, d_ff=16, n_all=9)
-    maps = []
+    layouts = []
     for node_id, (T, PL, C, S) in enumerate(HETERO_CONFIGS):
         cfg = NodeShapeConfig(
             node_id=node_id, T=T, C=C, S=S, PL=PL,
             var_ids=list(range(1, C + 1)), target_id=0,
         )
-        maps.append(shared_shape_map(PiXTime(dims, cfg, seed=node_id)))
-    for other in maps[1:]:
-        assert other == maps[0]
+        model = PiXTime(dims, cfg, seed=node_id)
+        shared, _ = partition(model.params)
+        layouts.append(([(name, p.shape) for name, p in shared.items()], model.n_shared))
+    for other in layouts[1:]:
+        assert other == layouts[0]
 
 
 def test_token_dimension_constant_at_module_boundaries():
@@ -484,13 +486,45 @@ def test_pos_embed_flag_adds_local_parameter():
     assert out.shape == (4,)
 
 
-def test_predict_on_materialized_sample_matches_forward():
-    from pixtime.data import SplitSpec, build_node_views, sample_at
+# ---------------------------------------------------------------------------
+# flat parameter store
+# ---------------------------------------------------------------------------
 
-    model = tiny_model(seed=26)
-    series = np.random.default_rng(26).standard_normal((200, 4))
-    views = build_node_views(series, model.node, SplitSpec())
-    sample = sample_at(views["train"], int(views["train"].starts[0]))
-    assert sample.x.shape == (8,) and sample.Z.shape == (8, 2) and sample.y.shape == (4,)
-    direct = model.forward(sample.x, sample.Z).data
-    assert np.array_equal(model.predict(sample).data, direct)
+def test_parameter_data_and_grad_are_views_of_the_model_vectors():
+    model = tiny_model(seed=26, use_pos_embed=True)
+    rng = np.random.default_rng(26)
+    pred = model.forward(rng.standard_normal((3, 8)), rng.standard_normal((3, 8, 2)))
+    backward(mse(pred, rng.standard_normal((3, 4))))
+    assert model.grads.any()
+    offset = 0
+    for name, p in model.params.items():
+        assert np.shares_memory(p.data, model.values), name
+        assert np.shares_memory(p.grad, model.grads), name
+        segment = slice(offset, offset + p.size)
+        assert np.array_equal(model.values[segment], p.data.ravel()), name
+        assert np.array_equal(model.grads[segment], p.grad.ravel()), name
+        offset += p.size
+    assert offset == model.values.size == model.grads.size
+
+
+def test_shared_segment_comes_first_and_matches_partition():
+    model = tiny_model(seed=27, use_pos_embed=True)
+    shared, local = partition(model.params)
+    assert list(model.params) == list(shared) + list(local)
+    assert model.n_shared == sum(p.size for p in shared.values())
+    head = np.concatenate([p.data.ravel() for p in shared.values()])
+    assert np.array_equal(model.values[: model.n_shared], head)
+    values = model.shared_values()
+    assert list(values) == list(shared)
+    for name, p in shared.items():
+        assert np.array_equal(values[name], p.data)
+
+
+def test_shared_values_do_not_alias_model_state():
+    model = tiny_model(seed=28)
+    before = model.values.copy()
+    values = model.shared_values()
+    for v in values.values():
+        assert not np.shares_memory(v, model.values)
+        v += 1.0
+    assert np.array_equal(model.values, before)

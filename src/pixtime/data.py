@@ -25,8 +25,6 @@ class RawDataset:
 
     column_names: list
     values: np.ndarray
-    dt: float = 1.0
-    has_timestamp: bool = False
 
 
 @dataclass(frozen=True)
@@ -53,11 +51,11 @@ class SplitSpec:
         return train_end, val_end
 
 
-def load_csv(path, dt: float = 1.0) -> RawDataset:
+def load_csv(path) -> RawDataset:
     """Read a comma-separated dataset with a header row.
 
-    A leading "date" column is dropped from the values but its presence
-    is recorded. Every remaining cell must parse as a finite real number.
+    A leading "date" column is dropped. Every remaining cell must parse
+    as a finite real number.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -94,7 +92,7 @@ def load_csv(path, dt: float = 1.0) -> RawDataset:
                 parsed.append(value)
             rows.append(parsed)
     values = np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
-    return RawDataset(column_names=names, values=values, dt=dt, has_timestamp=has_timestamp)
+    return RawDataset(column_names=names, values=values)
 
 
 def write_csv(dataset: RawDataset, path) -> None:
@@ -120,13 +118,7 @@ def standardize(data: RawDataset, split: SplitSpec) -> tuple:
     means = train.mean(axis=0)
     stds = np.maximum(train.std(axis=0), STD_FLOOR)
     standardized = (data.values - means) / stds
-    out = RawDataset(
-        column_names=list(data.column_names),
-        values=standardized,
-        dt=data.dt,
-        has_timestamp=data.has_timestamp,
-    )
-    return out, means, stds
+    return RawDataset(column_names=list(data.column_names), values=standardized), means, stds
 
 
 def downsample(values: np.ndarray, k: int) -> np.ndarray:
@@ -229,7 +221,7 @@ def generate_synthetic(
 
     values = np.column_stack([target, aux[max_lag:]])
     names = ["target"] + [f"aux{k:02d}" for k in range(n_aux)]
-    return RawDataset(column_names=names, values=values, dt=1.0)
+    return RawDataset(column_names=names, values=values)
 
 
 @dataclass

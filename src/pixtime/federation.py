@@ -40,7 +40,6 @@ class RoundRecord:
     update_norms: dict
     duration_s: float
     node_shared_digests: dict = field(default_factory=dict)
-    delta_names: tuple = ()
 
 
 class FederatedNode:
@@ -55,20 +54,13 @@ class FederatedNode:
         lr: float = 1e-4,
         batch_size: int = 32,
         use_ve: bool = True,
-        use_pos_embed: bool = False,
-        shuffle: bool = True,
-        reset_opt_per_round: bool = False,
     ):
         self.cfg = cfg
         self.dims = dims
-        self.model = PiXTime(
-            dims, cfg, seed=seed, use_ve=use_ve, use_pos_embed=use_pos_embed
-        )
+        self.model = PiXTime(dims, cfg, seed=seed, use_ve=use_ve)
         self.views = views
         self.optimizer = Adam(self.model.values, self.model.grads, lr=lr)
         self.batch_size = batch_size
-        self.shuffle = shuffle
-        self.reset_opt_per_round = reset_opt_per_round
         self.rng = np.random.default_rng([seed, cfg.node_id, 1])
         self.steps_taken = 0
 
@@ -107,7 +99,7 @@ class FederatedNode:
             return float("nan")
         total_loss, total_samples = 0.0, 0
         for _ in range(epochs):
-            order = self.rng.permutation(len(starts)) if self.shuffle else np.arange(len(starts))
+            order = self.rng.permutation(len(starts))
             for lo in range(0, len(order), self.batch_size):
                 batch = starts[order[lo : lo + self.batch_size]]
                 x, Z, y = gather_batch(self.train_view, batch)
@@ -136,8 +128,6 @@ def client_update(node: FederatedNode, global_shared: dict, epochs: int) -> tupl
     node.load_shared(global_shared)
     segment = node.model.values[: node.model.n_shared]
     start = segment.copy()
-    if node.reset_opt_per_round:
-        node.optimizer.reset_state()
     mean_loss = node.train_epochs(epochs)
     deltas = node.model.shared_views(segment - start)
     weight = float(epochs * len(node.train_view.starts))
@@ -202,8 +192,6 @@ class ServerSGD:
         self.lr = lr
 
     def apply(self, global_shared: dict, pseudo: dict) -> dict:
-        if self.lr == 1.0:
-            return {name: global_shared[name] + pseudo[name] for name in global_shared}
         return {name: global_shared[name] + self.lr * pseudo[name] for name in global_shared}
 
 
@@ -286,7 +274,6 @@ def run_federation(
                 update_norms=norms,
                 duration_s=time.perf_counter() - t0,
                 node_shared_digests={n.node_id: _shared_digest(n) for n in nodes},
-                delta_names=tuple(sorted(deltas[0].deltas)),
             )
         )
     return records, global_shared

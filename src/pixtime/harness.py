@@ -32,6 +32,7 @@ from .data import (
 from .errors import ConfigError, EvaluationError
 from .federation import (
     FederatedNode,
+    RoundRecord,
     init_global_shared,
     make_server_optimizer,
     run_federation,
@@ -64,8 +65,6 @@ class OptimizerConfig:
     epochs: int = 10
     server_kind: str = "sgd"
     server_lr: float | None = None
-    shuffle: bool = True
-    reset_client_opt: bool = False
 
 
 @dataclass
@@ -100,7 +99,6 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str = "runs/out"
     use_ve: bool = True
-    use_pos_embed: bool = False
     n_seeds: int = 3
     ablation_stride: int = 4
     subset_sizes: list = field(default_factory=list)
@@ -133,35 +131,40 @@ class ExperimentConfig:
         cfg.validate()
         return cfg
 
-    @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        net, opt = self.network, self.optimizer
+        for label, value in (("strides", net.strides), ("subset_sizes", self.subset_sizes)):
+            if not isinstance(value, list):
+                raise ConfigError(f"{label}={value!r} must be a list")
+        # (label, value, minimum) for every integer field, checked before
+        # any of them is used as a divisor
+        bounds = [
+            ("D", self.D, 1), ("L", self.L, 1), ("H", self.H, 1), ("d_ff", self.d_ff, 1),
+            ("rounds", self.rounds, 0), ("seed", self.seed, 0), ("n_seeds", self.n_seeds, 1),
+            ("ablation_stride", self.ablation_stride, 1),
+            ("n_nodes", net.n_nodes, 1), ("T", net.T, 1), ("S", net.S, 1), ("PL", net.PL, 1),
+            ("target_id", net.target_id, 0),
+            ("batch_size", opt.batch_size, 1), ("epochs", opt.epochs, 0),
+        ]
+        bounds += [("stride", k, 1) for k in net.strides]
+        bounds += [("subset_size", size, 1)
+                   for size in [net.subset_size] + self.subset_sizes if size is not None]
+        for label, value, low in bounds:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{label}={value!r} must be an integer")
+            if value < low:
+                raise ConfigError(f"{label}={value} must be >= {low}")
         if self.D % self.H != 0:
             raise ConfigError(f"D={self.D} is not divisible by H={self.H} heads")
-        if self.L < 1:
-            raise ConfigError(f"L={self.L} must be >= 1")
-        if self.rounds < 0:
-            raise ConfigError(f"rounds={self.rounds} must be >= 0")
-        if self.optimizer.epochs < 0:
-            raise ConfigError(f"epochs={self.optimizer.epochs} must be >= 0")
-        if self.optimizer.batch_size < 1:
-            raise ConfigError(f"batch_size={self.optimizer.batch_size} must be >= 1")
-        rates = {"lr": self.optimizer.lr}
-        if self.optimizer.server_lr is not None:
-            rates["server_lr"] = self.optimizer.server_lr
+        rates = {"lr": opt.lr}
+        if opt.server_lr is not None:
+            rates["server_lr"] = opt.server_lr
         for label, value in rates.items():
             if not (isinstance(value, (int, float)) and 0 < value < math.inf):
                 raise ConfigError(f"{label}={value!r} must be a positive finite number")
-        if self.n_seeds < 1:
-            raise ConfigError(f"n_seeds={self.n_seeds} must be >= 1")
-        net = self.network
-        if net.n_nodes < 1:
-            raise ConfigError(f"n_nodes={net.n_nodes} must be >= 1")
+        make_server_optimizer(opt.server_kind)  # rejects an unknown kind
         if len(net.strides) != net.n_nodes:
             raise ConfigError(
                 f"{net.n_nodes} nodes need {net.n_nodes} strides, got {len(net.strides)}"
@@ -169,8 +172,6 @@ class ExperimentConfig:
         if net.T % net.PL != 0:
             raise ConfigError(f"T={net.T} is not a multiple of PL={net.PL}")
         for k in net.strides:
-            if k < 1:
-                raise ConfigError(f"stride {k} must be >= 1")
             for label, base in (("T", net.T), ("S", net.S), ("PL", net.PL)):
                 if base % k != 0:
                     raise ConfigError(
@@ -303,9 +304,6 @@ def build_nodes(config: ExperimentConfig, standardized: np.ndarray,
                 lr=config.optimizer.lr,
                 batch_size=config.optimizer.batch_size,
                 use_ve=config.use_ve,
-                use_pos_embed=config.use_pos_embed,
-                shuffle=config.optimizer.shuffle,
-                reset_opt_per_round=config.optimizer.reset_client_opt,
             )
         )
     return nodes
@@ -362,8 +360,12 @@ def _train_central(config: ExperimentConfig, seed: int) -> tuple:
         t0 = time.perf_counter()
         loss = node.train_epochs(config.optimizer.epochs)
         records.append(
-            {"round": r, "node_id": node.node_id, "train_loss": loss,
-             "duration_s": time.perf_counter() - t0}
+            RoundRecord(
+                round_index=r,
+                node_losses={node.node_id: loss},
+                update_norms={},
+                duration_s=time.perf_counter() - t0,
+            )
         )
     return nodes, records
 
@@ -372,18 +374,6 @@ def _round_rows(records) -> list:
     """Flatten round records into CSV rows (see README for the column set)."""
     rows = []
     for rec in records:
-        if isinstance(rec, dict):  # central-mode record
-            rows.append(
-                {
-                    "round": rec["round"],
-                    "kind": "node",
-                    "node_id": rec["node_id"],
-                    "train_loss": rec["train_loss"],
-                    "detail": "",
-                    "duration_s": rec["duration_s"],
-                }
-            )
-            continue
         for node_id, loss in sorted(rec.node_losses.items()):
             rows.append(
                 {

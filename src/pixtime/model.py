@@ -41,9 +41,7 @@ from .errors import CategoryError, ConfigError, PartitionError, ShapeError
 LN_EPS = 1e-5
 
 SHARED_ROOTS = frozenset({"ve_table", "aux_encoder", "target_decoder"})
-LOCAL_ROOTS = frozenset(
-    {"patch_linear", "abstract_token", "ve_linear", "projection", "pos_embed"}
-)
+LOCAL_ROOTS = frozenset({"patch_linear", "abstract_token", "ve_linear", "projection"})
 
 
 def is_shared(name: str) -> bool:
@@ -170,14 +168,8 @@ class PiXTime:
     scalars are the shared segment, in `partition` order.
     """
 
-    def __init__(
-        self,
-        dims: ModelDims,
-        node: NodeShapeConfig,
-        seed: int = 0,
-        use_ve: bool = True,
-        use_pos_embed: bool = False,
-    ):
+    def __init__(self, dims: ModelDims, node: NodeShapeConfig, seed: int = 0,
+                 use_ve: bool = True):
         for v in node.var_ids + [node.target_id]:
             if not 0 <= v < dims.n_all:
                 raise CategoryError(
@@ -186,7 +178,6 @@ class PiXTime:
         self.dims = dims
         self.node = node
         self.use_ve = use_ve
-        self.use_pos_embed = use_pos_embed
         self.params: dict[str, Parameter] = {}
         self._build(np.random.default_rng(seed))
         shared, local = partition(self.params)
@@ -271,10 +262,6 @@ class PiXTime:
             "projection.weight", _xavier(rng, node.M * D, node.S)
         )
         self.proj_b = self._param("projection.bias", np.zeros(node.S))
-        if self.use_pos_embed:
-            self.pos_embed = self._param(
-                "pos_embed", rng.normal(0.0, 0.02, size=(node.M, D))
-            )
 
     def parameters(self) -> dict[str, Parameter]:
         return self.params
@@ -303,8 +290,6 @@ class PiXTime:
             )
         patches = patch_split(x, self.node.PL)
         tokens = ad.linear(patches, self.patch_w, self.patch_b)
-        if self.use_pos_embed:
-            tokens = ad.add(tokens, self.pos_embed)
         head = ad.reshape(self.abstract_token, (1, self.dims.D))
         head = ad.broadcast_to(head, tokens.shape[:-2] + (1, self.dims.D))
         return ad.concat([head, tokens], axis=-2)

@@ -33,7 +33,7 @@ class Adam:
 
     def step(self) -> None:
         if self.t == 0:
-            # zeroed here, not at construction or reset, so building a model
+            # zeroed here, not at construction, so building a model
             # allocates no moments
             self.m, self.v = np.zeros_like(self.values), np.zeros_like(self.values)
         self.t += 1
@@ -46,9 +46,6 @@ class Adam:
         update *= self.lr
         update /= np.sqrt(v / (1.0 - self.beta2 ** self.t)) + self.eps
         self.values -= update
-
-    def reset_state(self) -> None:
-        self.t = 0
 
 
 @dataclass

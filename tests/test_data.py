@@ -30,7 +30,6 @@ def test_load_csv_with_date_column(tmp_path):
     ds = load_csv(path)
     assert ds.column_names == ["a", "b"]
     assert ds.values.shape == (2, 2)
-    assert ds.has_timestamp
     assert ds.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
@@ -38,8 +37,8 @@ def test_load_csv_single_column(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("a\n1\n2\n3\n")
     ds = load_csv(path)
+    assert ds.column_names == ["a"]
     assert ds.values.shape == (3, 1)
-    assert not ds.has_timestamp
 
 
 def test_load_csv_roundtrip_bit_exact(tmp_path):

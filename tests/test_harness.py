@@ -1,6 +1,8 @@
 """Config validation, metrics, experiment artifacts, CLI behavior."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from pixtime import ExperimentConfig, evaluate, persistence_baseline, run_experi
 from pixtime.cli import main as cli_main
 from pixtime.data import NodeDataView, SplitSpec, build_node_views
 from pixtime.errors import ConfigError, EvaluationError
-from pixtime.harness import Metrics, _prepare
+from pixtime.harness import DatasetConfig, Metrics, NetworkConfig, OptimizerConfig, _prepare
 from pixtime.model import NodeShapeConfig
 
 
@@ -53,6 +55,9 @@ INVALID_PATCHES = [
     {"n_seeds": 0},
     {"dataset": {"synthetic": {"n_vars": 4, "length": 1000, "bogus": 1}}},
     {"dataset": {"synthetic": {"length": 1000}}},
+    {"use_pos_embed": True},                               # removed keys
+    {"optimizer": {"shuffle": False}},
+    {"optimizer": {"reset_client_opt": True}},
 ]
 
 
@@ -246,7 +251,11 @@ def test_central_mode_trains_single_node(tmp_path):
     result = run_experiment(small_config(tmp_path, mode="central", rounds=1))
     assert len(result.metrics["nodes"]) == 1
     rows = (result.out_dir / "rounds.csv").read_text().splitlines()
-    assert len(rows) == 2  # header + one round row
+    assert len(rows) == 3  # header + the round's node row and server row
+    node_row, server_row = (row.split(",") for row in rows[1:])
+    assert node_row[:3] == ["0", "node", "0"] and node_row[4:] == ["", ""]
+    assert server_row[:5] == ["0", "server", "", "", ""]
+    assert float(server_row[5]) > 0
 
 
 def test_ablate_granularity_report_has_exactly_three_settings(tmp_path):
@@ -307,12 +316,40 @@ def test_cli_rejects_invalid_config_with_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def _network(**fields):
+    return {"n_nodes": 2, "strides": [1, 1], "T": 24, "S": 8, "PL": 4, **fields}
+
+
 @pytest.mark.parametrize("overrides", [
     {"dataset": {"synthetic": {"n_vars": 4, "length": 1000, "bogus": 1}}},
     {"optimizer": {"lr": -1, "epochs": 1}},
     {"n_seeds": 0},
+    {"network": _network(PL=0)},
+    {"H": 0},
+    {"D": 0},
+    {"network": _network(subset_size=-1)},
+    {"network": _network(subset_size=0)},
+    {"network": _network(subset_size=True)},
+    {"network": _network(target_id=-1)},
+    {"optimizer": {"lr": 1e-3, "batch_size": 1.5}},
+    {"rounds": 1.5},
+    {"L": 1.5},
+    {"optimizer": {"lr": 1e-3, "epochs": 1.5}},
+    {"seed": -1},
+    {"d_ff": 0},
+    {"ablation_stride": 0},
+    {"network": _network(strides=1)},
+    {"optimizer": {"lr": 1e-3, "server_kind": "bogus"}},
+    {"use_pos_embed": True},
+    {"optimizer": {"lr": 1e-3, "shuffle": False}},
+    {"optimizer": {"lr": 1e-3, "reset_client_opt": True}},
 ])
-def test_cli_rejects_bad_values_with_exit_2_before_any_io(tmp_path, capsys, overrides):
+def test_cli_rejects_bad_values_with_exit_2_before_any_io(tmp_path, capsys, monkeypatch,
+                                                          overrides):
+    def no_io(config):
+        raise AssertionError("the dataset was loaded before the config was rejected")
+
+    monkeypatch.setattr("pixtime.harness.load_dataset", no_io)
     path = _write_config(tmp_path, **overrides)
     assert cli_main(["train-fed", "--config", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
@@ -355,3 +392,19 @@ def test_cli_gen_synthetic_round_trips(tmp_path):
 def test_cli_missing_config_file_is_runtime_error(tmp_path, capsys):
     assert cli_main(["train-fed", "--config", str(tmp_path / "nope.json")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_readme_config_block_matches_the_config_dataclasses(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    raw = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    raw["out_dir"] = str(tmp_path / "out")
+    ExperimentConfig.from_dict(raw)
+    levels = [
+        (raw, ExperimentConfig),
+        (raw["network"], NetworkConfig),
+        (raw["optimizer"], OptimizerConfig),
+        (raw["dataset"], DatasetConfig),
+        (raw["dataset"]["split"], SplitSpec),
+    ]
+    for block, cls in levels:
+        assert set(block) == set(cls.__dataclass_fields__), cls.__name__

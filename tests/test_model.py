@@ -18,10 +18,10 @@ from pixtime import (
 from pixtime.errors import CategoryError, ConfigError, ShapeError
 
 
-def tiny_model(seed=0, use_ve=True, use_pos_embed=False, n_all=4):
+def tiny_model(seed=0, use_ve=True, n_all=4):
     dims = ModelDims(D=8, L=1, H=2, d_ff=16, n_all=n_all)
     cfg = NodeShapeConfig(node_id=0, T=8, C=2, S=4, PL=4, var_ids=[1, 2], target_id=0)
-    return PiXTime(dims, cfg, seed=seed, use_ve=use_ve, use_pos_embed=use_pos_embed)
+    return PiXTime(dims, cfg, seed=seed, use_ve=use_ve)
 
 
 # ---------------------------------------------------------------------------
@@ -477,21 +477,12 @@ def test_zero_table_forward_bit_identical_to_no_ve_model():
     assert np.array_equal(with_ve.forward(x, Z).data, without.forward(x, Z).data)
 
 
-def test_pos_embed_flag_adds_local_parameter():
-    model = tiny_model(seed=25, use_pos_embed=True)
-    assert "pos_embed" in model.params
-    assert model.params["pos_embed"].shape == (2, 8)
-    rng = np.random.default_rng(25)
-    out = model.forward(rng.standard_normal(8), rng.standard_normal((8, 2)))
-    assert out.shape == (4,)
-
-
 # ---------------------------------------------------------------------------
 # flat parameter store
 # ---------------------------------------------------------------------------
 
 def test_parameter_data_and_grad_are_views_of_the_model_vectors():
-    model = tiny_model(seed=26, use_pos_embed=True)
+    model = tiny_model(seed=26)
     rng = np.random.default_rng(26)
     pred = model.forward(rng.standard_normal((3, 8)), rng.standard_normal((3, 8, 2)))
     backward(mse(pred, rng.standard_normal((3, 4))))
@@ -508,7 +499,7 @@ def test_parameter_data_and_grad_are_views_of_the_model_vectors():
 
 
 def test_shared_segment_comes_first_and_matches_partition():
-    model = tiny_model(seed=27, use_pos_embed=True)
+    model = tiny_model(seed=27)
     shared, local = partition(model.params)
     assert list(model.params) == list(shared) + list(local)
     assert model.n_shared == sum(p.size for p in shared.values())

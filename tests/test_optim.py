@@ -97,21 +97,6 @@ def test_adam_state_moments_nonnegative_and_t_increments():
         assert np.all(opt.v >= 0)
 
 
-def test_reset_state_restarts_the_recurrence():
-    p = Parameter("p", np.array([0.4, -1.0]))
-    opt = Adam(p.data, p.grad, lr=1e-2)
-    p.grad[...] = [1.0, -2.0]
-    opt.step()
-    opt.reset_state()
-    assert opt.t == 0
-    before = p.data.copy()
-    p.grad[...] = [-3.0, 0.5]
-    opt.step()
-    # a first step again: every coordinate moves by about lr against the new
-    # gradient, with no memory of the old one
-    assert np.allclose(p.data - before, -1e-2 * np.sign([-3.0, 0.5]), atol=1e-8)
-
-
 def test_grad_check_quadratic():
     w = Parameter("w", np.array([[3.0]]))
 

@@ -49,7 +49,11 @@ def _gen_synthetic(args) -> int:
     spec = {"n_vars": args.n_vars, "length": args.length, "seed": args.seed}
     if args.config is not None:
         with open(args.config) as fh:
-            spec.update(json.load(fh))
+            block = json.load(fh)
+        spec = {**spec, **block} if isinstance(block, dict) else block
+    # the experiment config check covers the synthetic block; its other
+    # fields keep their valid defaults
+    ExperimentConfig.from_dict({"dataset": {"synthetic": spec}})
     dataset = generate_synthetic(**spec)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(dataset, args.out)

@@ -236,17 +236,16 @@ class NodeDataView:
 
 
 def build_node_views(standardized: np.ndarray, cfg: NodeShapeConfig, split: SplitSpec,
-                     partition_count: int = 1, partition_rank: int = 0,
-                     stride: int = 1) -> dict:
+                     partition_count: int = 1, partition_rank: int = 0) -> dict:
     """Construct train/val/test views for one node.
 
     The node sees the full standardized matrix at its own granularity
-    (stride-k rows). Training and validation windows are owned by strided
-    partitioning among the `partition_count` nodes that share this
-    granularity (rank `partition_rank`); every node evaluates the full
-    test split.
+    (every `cfg.stride`-th row). Training and validation windows are
+    owned by strided partitioning among the `partition_count` nodes that
+    share this granularity (rank `partition_rank`); every node evaluates
+    the full test split.
     """
-    series = downsample(standardized, stride)
+    series = downsample(standardized, cfg.stride)
     n = series.shape[0]
     train_end, val_end = split.boundaries(n)
 

@@ -148,40 +148,26 @@ def aggregate(deltas: list) -> dict:
     if not deltas:
         raise AggregationError("no client deltas to aggregate")
     ordered = sorted(deltas, key=lambda d: d.node_id)
-    names = set(ordered[0].deltas)
+    first = ordered[0]
+    layout = {name: v.shape for name, v in first.deltas.items()}
     for d in ordered[1:]:
-        if set(d.deltas) != names:
+        if {name: v.shape for name, v in d.deltas.items()} != layout:
             raise AggregationError(
-                f"delta name sets differ between nodes {ordered[0].node_id} and {d.node_id}"
+                f"delta names or shapes differ between nodes {first.node_id} and {d.node_id}"
             )
-    for name in names:
-        shapes = {d.deltas[name].shape for d in ordered}
-        if len(shapes) != 1:
-            raise AggregationError(f"shape mismatch for {name!r}: {sorted(shapes)}")
 
     total = sum(d.weight for d in ordered)
     if total <= 0:
         raise AggregationError("total client weight is zero; no client trained this round")
+    row_weight = sum(np.where(d.ve_usage, d.weight, 0.0) for d in ordered)
 
-    n_all = ordered[0].ve_usage.shape[0]
-    row_weight = np.zeros(n_all)
+    pseudo = {name: np.zeros_like(first.deltas[name]) for name in sorted(layout)}
     for d in ordered:
-        row_weight += np.where(d.ve_usage, d.weight, 0.0)
-
-    pseudo = {}
-    for name in sorted(names):
-        acc = np.zeros_like(ordered[0].deltas[name])
-        if name == "ve_table":
-            for d in ordered:
-                share = np.divide(
-                    d.weight, row_weight, out=np.zeros(n_all), where=row_weight > 0
-                )
-                share = np.where(d.ve_usage, share, 0.0)
-                acc += share[:, None] * d.deltas[name]
-        else:
-            for d in ordered:
-                acc += (d.weight / total) * d.deltas[name]
-        pseudo[name] = acc
+        share = np.divide(d.weight, row_weight, out=np.zeros(row_weight.shape),
+                          where=d.ve_usage & (row_weight > 0))
+        for name, acc in pseudo.items():
+            coef = share[:, None] if name == "ve_table" else d.weight / total
+            acc += coef * d.deltas[name]
     return pseudo
 
 
@@ -285,9 +271,7 @@ def init_global_shared(dims: ModelDims, seed: int) -> dict:
     Shared shapes do not depend on any node's series geometry, so a
     minimal reference configuration is used to materialize them.
     """
-    ref = NodeShapeConfig(
-        node_id=-1, T=1, C=0, S=1, PL=1, var_ids=[], target_id=0, dt=1.0
-    )
+    ref = NodeShapeConfig(node_id=-1, T=1, S=1, PL=1, var_ids=[], target_id=0)
     model = PiXTime(dims, ref, seed=seed)
     # nothing else holds the reference model, so its segment needs no copy
     return model.shared_views(model.values[: model.n_shared])

@@ -7,7 +7,6 @@ three artifacts into its output directory: a config echo, a metrics JSON
 log CSV (which carries the only wall-clock fields).
 """
 
-import inspect
 import json
 import math
 import time
@@ -45,8 +44,8 @@ from .optim import grad_check
 # configuration
 # ---------------------------------------------------------------------------
 
-# the keys a dataset.synthetic block may hold
-_SYNTHETIC_SIGNATURE = inspect.signature(generate_synthetic)
+# the keys a dataset.synthetic block may hold, with the least value of each
+SYNTHETIC_MINIMA = {"n_vars": 2, "length": 1000, "seed": 0}
 
 MODES = (
     "central",
@@ -148,9 +147,18 @@ class ExperimentConfig:
             ("target_id", net.target_id, 0),
             ("batch_size", opt.batch_size, 1), ("epochs", opt.epochs, 0),
         ]
-        bounds += [("stride", k, 1) for k in net.strides]
-        bounds += [("subset_size", size, 1)
-                   for size in [net.subset_size] + self.subset_sizes if size is not None]
+        sizes = [size for size in [net.subset_size] + self.subset_sizes if size is not None]
+        bounds += [("stride", k, 1) for k in net.strides] + [("subset_size", n, 1) for n in sizes]
+        spec = self.dataset.synthetic
+        if self.dataset.csv is None:
+            if spec is None:
+                raise ConfigError("dataset requires either a csv path or a synthetic spec")
+            keys = set(spec) if isinstance(spec, dict) else set()
+            if not {"n_vars", "length"} <= keys <= set(SYNTHETIC_MINIMA):
+                raise ConfigError(
+                    f"synthetic spec {spec!r} must hold n_vars, length and an optional seed"
+                )
+            bounds += [(f"synthetic.{k}", v, SYNTHETIC_MINIMA[k]) for k, v in spec.items()]
         for label, value, low in bounds:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{label}={value!r} must be an integer")
@@ -178,13 +186,15 @@ class ExperimentConfig:
                         f"stride {k} does not divide {label}={base}; granularity "
                         "pairing needs integral window lengths"
                     )
-        if self.dataset.csv is None and self.dataset.synthetic is None:
-            raise ConfigError("dataset requires either a csv path or a synthetic spec")
         if self.dataset.csv is None:
-            try:
-                _SYNTHETIC_SIGNATURE.bind(**{"seed": self.seed, **self.dataset.synthetic})
-            except TypeError as exc:
-                raise ConfigError(f"invalid synthetic block: {exc}") from None
+            # a synthetic dataset's width is known before any data exists
+            n_vars = spec["n_vars"]
+            widths = [("target_id", net.target_id)] + [("subset_size", n) for n in sizes]
+            for label, value in widths:
+                if value >= n_vars:
+                    raise ConfigError(
+                        f"{label}={value} must be < n_vars={n_vars} of the synthetic dataset"
+                    )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -279,12 +289,11 @@ def build_nodes(config: ExperimentConfig, standardized: np.ndarray,
         cfg = NodeShapeConfig(
             node_id=node_id,
             T=net.T // stride,
-            C=len(subsets[node_id]),
             S=net.S // stride,
             PL=net.PL // stride,
             var_ids=subsets[node_id],
             target_id=net.target_id,
-            dt=float(stride),
+            stride=stride,
         )
         # the common training set is split among nodes that share a
         # granularity; a node alone at its granularity owns its full
@@ -293,7 +302,6 @@ def build_nodes(config: ExperimentConfig, standardized: np.ndarray,
         views = build_node_views(
             standardized, cfg, config.dataset.split,
             partition_count=len(group), partition_rank=group.index(node_id),
-            stride=stride,
         )
         nodes.append(
             FederatedNode(
@@ -402,9 +410,7 @@ def _round_rows(records) -> list:
 def gradcheck_experiment(config: ExperimentConfig) -> dict:
     """Finite-difference verification of the full model loss, all workflows."""
     dims = ModelDims(D=8, L=1, H=2, d_ff=16, n_all=4)
-    cfg = NodeShapeConfig(
-        node_id=0, T=8, C=2, S=4, PL=4, var_ids=[1, 2], target_id=0
-    )
+    cfg = NodeShapeConfig(node_id=0, T=8, S=4, PL=4, var_ids=[1, 2], target_id=0)
     model = PiXTime(dims, cfg, seed=config.seed)
     rng = np.random.default_rng(config.seed)
     x = rng.standard_normal(cfg.T)
@@ -462,7 +468,7 @@ def ablate_granularity(config: ExperimentConfig) -> dict:
                 nodes, _ = _train_central(cfg, seed)
             entry = {"seed": seed}
             for node in nodes:
-                label = "fine" if node.cfg.dt == 1.0 else "coarse"
+                label = "fine" if node.cfg.stride == 1 else "coarse"
                 entry[label] = evaluate(node).to_dict()
             per_seed.append(entry)
         medians = {}

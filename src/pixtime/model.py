@@ -97,16 +97,6 @@ class ModelDims:
     d_ff: int
     n_all: int
 
-    def __post_init__(self):
-        if self.D % self.H != 0:
-            raise ConfigError(f"model dim {self.D} not divisible by {self.H} heads")
-        if self.L < 1:
-            raise ConfigError(f"layer count must be >= 1, got {self.L}")
-        if self.n_all < 1:
-            raise ConfigError(f"need at least one variable category, got {self.n_all}")
-        if self.d_ff < 1:
-            raise ConfigError(f"feed-forward width must be >= 1, got {self.d_ff}")
-
 
 @dataclass
 class NodeShapeConfig:
@@ -114,29 +104,18 @@ class NodeShapeConfig:
 
     node_id: int
     T: int
-    C: int
     S: int
     PL: int
     var_ids: list
     target_id: int
-    dt: float = 1.0
+    stride: int = 1  # granularity: the node sees every stride-th base row
 
     def __post_init__(self):
-        if self.PL < 1 or self.T < 1 or self.S < 1:
-            raise ConfigError(
-                f"node {self.node_id}: T={self.T}, S={self.S}, PL={self.PL} must be positive"
-            )
-        if self.T % self.PL != 0:
-            raise ConfigError(
-                f"node {self.node_id}: look-back {self.T} is not a multiple of patch length {self.PL}"
-            )
         self.var_ids = [int(v) for v in self.var_ids]
-        if len(set(self.var_ids)) != len(self.var_ids):
-            raise ConfigError(f"node {self.node_id}: duplicate auxiliary ids {self.var_ids}")
-        if len(self.var_ids) != self.C:
-            raise ConfigError(
-                f"node {self.node_id}: C={self.C} but {len(self.var_ids)} auxiliary ids given"
-            )
+
+    @property
+    def C(self) -> int:
+        return len(self.var_ids)
 
     @property
     def M(self) -> int:

@@ -1,18 +1,12 @@
 """Adam optimizer and the finite-difference gradient checker."""
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .autodiff import Parameter, backward, no_grad
 from .errors import ConfigError, DeterminismError
-
-
-def _as_param_dict(params) -> dict:
-    if isinstance(params, Mapping):
-        return dict(params)
-    return {p.name: p for p in params}
 
 
 class Adam:
@@ -65,7 +59,7 @@ class GradCheckReport:
 
 def grad_check(
     f: Callable[[], object],
-    params: Iterable[Parameter] | Mapping[str, Parameter],
+    params: Mapping[str, Parameter],
     h: float = 1e-5,
 ) -> GradCheckReport:
     """Compare tape gradients of a scalar function against central differences.
@@ -76,7 +70,6 @@ def grad_check(
     """
     if not (0.0 < h <= 1e-3):
         raise ConfigError(f"grad_check step h must lie in (0, 1e-3], got {h}")
-    params = _as_param_dict(params)
 
     first = f().item()
     second = f().item()

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines. The directional experiments (7-9) take a few minutes of CPU; the
-rest are near-instant.
+lines. The directional experiments (7-9) take a few minutes of CPU and are
+marked `slow` (`-m "not slow"` skips them); the rest are near-instant.
 """
 
 import json
@@ -46,7 +46,7 @@ def _report(index: int, passed: bool, detail: str) -> None:
 
 
 TINY_DIMS = ModelDims(D=8, L=1, H=2, d_ff=16, n_all=4)
-TINY_NODE = NodeShapeConfig(node_id=0, T=8, C=2, S=4, PL=4, var_ids=[1, 2], target_id=0)
+TINY_NODE = NodeShapeConfig(node_id=0, T=8, S=4, PL=4, var_ids=[1, 2], target_id=0)
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +193,10 @@ def test_criterion_03_heterogeneous_network_round():
     for node_id, (T, PL, C, S) in enumerate(plan):
         stride = 96 // T
         cfg = NodeShapeConfig(
-            node_id=node_id, T=T, C=C, S=S, PL=PL,
-            var_ids=list(range(1, C + 1)), target_id=0, dt=float(stride),
+            node_id=node_id, T=T, S=S, PL=PL,
+            var_ids=list(range(1, C + 1)), target_id=0, stride=stride,
         )
-        views = build_node_views(base, cfg, SplitSpec(), stride=stride)
+        views = build_node_views(base, cfg, SplitSpec())
         nodes.append(FederatedNode(dims, cfg, views, seed=node_id, lr=1e-3))
 
     layouts = [
@@ -261,7 +261,7 @@ def _masking_nodes():
     nodes = []
     for node_id, var_ids in enumerate([(1, 2), (2, 3)]):
         cfg = NodeShapeConfig(
-            node_id=node_id, T=8, C=2, S=4, PL=4,
+            node_id=node_id, T=8, S=4, PL=4,
             var_ids=list(var_ids), target_id=0,
         )
         views = build_node_views(
@@ -347,6 +347,7 @@ def test_criterion_06_aggregation_algebra():
 # 7. learning signal vs persistence baseline
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_07_learning_signal():
     ratios = []
     for seed in range(3):
@@ -377,6 +378,7 @@ def test_criterion_07_learning_signal():
 # 8. granularity-mix direction
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_08_granularity_mix_direction():
     base = {
         "dataset": {"synthetic": {"n_vars": 8, "length": 4000, "seed": 0}},
@@ -416,6 +418,7 @@ def test_criterion_08_granularity_mix_direction():
 # 9. variable-embedding ablation direction
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_09_ve_ablation_direction():
     base = {
         "dataset": {"synthetic": {"n_vars": 8, "length": 4000, "seed": 0}},

@@ -287,12 +287,12 @@ def _views_for(n_nodes, node_id, stride=1, n_rows=400):
     rng = np.random.default_rng(3)
     data = rng.standard_normal((n_rows, 4))
     cfg = NodeShapeConfig(
-        node_id=node_id, T=24 // stride, C=2, S=8 // stride, PL=4 // stride,
-        var_ids=[1, 2], target_id=0, dt=float(stride),
+        node_id=node_id, T=24 // stride, S=8 // stride, PL=4 // stride,
+        var_ids=[1, 2], target_id=0, stride=stride,
     )
     views = build_node_views(
         data, cfg, SplitSpec(),
-        partition_count=n_nodes, partition_rank=node_id, stride=stride,
+        partition_count=n_nodes, partition_rank=node_id,
     )
     return views, data
 
@@ -324,6 +324,6 @@ def test_granularity_pairing_preserves_physical_patch_span():
     fine_views, _ = _views_for(n_nodes=2, node_id=0, stride=1)
     coarse_views, _ = _views_for(n_nodes=2, node_id=1, stride=4)
     fine, coarse = fine_views["train"].cfg, coarse_views["train"].cfg
-    assert fine.PL * fine.dt == coarse.PL * coarse.dt
-    assert fine.T * fine.dt == coarse.T * coarse.dt
-    assert fine.S * fine.dt == coarse.S * coarse.dt
+    assert fine.PL * fine.stride == coarse.PL * coarse.stride
+    assert fine.T * fine.stride == coarse.T * coarse.stride
+    assert fine.S * fine.stride == coarse.S * coarse.stride

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from pixtime import (
     ClientDelta,
@@ -31,7 +34,7 @@ def make_node(node_id=0, n_nodes=1, seed=0, n_rows=400, var_ids=(1, 2), lr=1e-3,
     rng = np.random.default_rng(100 + node_id if kwargs.pop("own_data", False) else 100)
     data = rng.standard_normal((n_rows, DIMS.n_all))
     cfg = NodeShapeConfig(
-        node_id=node_id, T=8, C=len(var_ids), S=4, PL=4,
+        node_id=node_id, T=8, S=4, PL=4,
         var_ids=list(var_ids), target_id=0,
     )
     views = build_node_views(
@@ -223,6 +226,76 @@ def test_aggregate_rejects_mismatched_shapes():
 def test_aggregate_requires_positive_total_weight():
     with pytest.raises(AggregationError):
         aggregate([_delta(0, 1.0, 0.0, [True] * 3)])
+
+
+@st.composite
+def _client_rounds(draw):
+    """1-4 clients sharing one random layout, each with its own dict order."""
+    n_all = draw(st.integers(1, 4))
+    layout = draw(st.dictionaries(
+        st.sampled_from(["aux_encoder.w", "target_decoder.b", "target_decoder.ln.g"]),
+        array_shapes(min_dims=0, max_dims=2, max_side=3), max_size=3,
+    ))
+    if draw(st.booleans()):
+        layout["ve_table"] = (n_all, draw(st.integers(1, 3)))
+    ids = draw(st.lists(st.integers(0, 99), min_size=1, max_size=4, unique=True))
+    values = st.floats(-10.0, 10.0, allow_nan=False)
+    clients = []
+    for node_id in ids:
+        order = draw(st.permutations(sorted(layout)))
+        clients.append(ClientDelta(
+            node_id=node_id,
+            deltas={name: draw(arrays(np.float64, layout[name], elements=values))
+                    for name in order},
+            weight=draw(st.floats(0.0, 1e3)),
+            ve_usage=draw(arrays(np.bool_, n_all)),
+        ))
+    if sum(d.weight for d in clients) <= 0:
+        clients[0].weight = 1.0
+    return clients
+
+
+def _aggregate_oracle(clients) -> dict:
+    """The documented formula, one scalar at a time."""
+    total = sum(d.weight for d in clients)
+    out = {}
+    for name, first in clients[0].deltas.items():
+        acc = np.zeros(first.shape)
+        for idx in np.ndindex(first.shape):
+            if name == "ve_table":
+                users = [d for d in clients if d.ve_usage[idx[0]]]
+                row_weight = sum(d.weight for d in users)
+                if row_weight > 0:
+                    acc[idx] = sum(d.weight / row_weight * d.deltas[name][idx] for d in users)
+            else:
+                acc[idx] = sum(d.weight / total * d.deltas[name][idx] for d in clients)
+        out[name] = acc
+    return out
+
+
+@settings(deadline=None, max_examples=200)
+@given(clients=_client_rounds(), data=st.data())
+def test_aggregate_property_matches_oracle_and_ignores_client_order(clients, data):
+    pseudo = aggregate(clients)
+    oracle = _aggregate_oracle(clients)
+    assert list(pseudo) == sorted(oracle)
+    for name, expected in oracle.items():
+        np.testing.assert_allclose(pseudo[name], expected, rtol=0, atol=1e-12)
+
+    shuffled = aggregate(data.draw(st.permutations(clients)))
+    assert list(shuffled) == list(pseudo)
+    for name in pseudo:
+        assert np.array_equal(shuffled[name], pseudo[name])
+
+    lone = clients[0]
+    if lone.weight > 0:
+        own = aggregate([lone])
+        for name, delta in lone.deltas.items():
+            if name == "ve_table":
+                assert np.array_equal(own[name][lone.ve_usage], delta[lone.ve_usage])
+                assert not own[name][~lone.ve_usage].any()
+            else:
+                assert np.array_equal(own[name], delta)
 
 
 # ---------------------------------------------------------------------------

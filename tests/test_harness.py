@@ -87,8 +87,14 @@ def test_unknown_nested_key_rejected(tmp_path):
 
 
 def test_oversized_subset_rejected_at_build(tmp_path):
+    # a csv's width is known only once it is read, so the check runs at build
+    rows = ["a,b,c,d"] + [",".join(repr(float(v)) for v in r)
+                          for r in np.random.default_rng(0).standard_normal((1000, 4))]
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("\n".join(rows) + "\n")
     config = small_config(
         tmp_path,
+        dataset={"csv": str(csv_path)},
         network={"n_nodes": 2, "strides": [1, 1], "T": 24, "S": 8, "PL": 4,
                  "subset_size": 9},
     )
@@ -102,7 +108,7 @@ def test_oversized_subset_rejected_at_build(tmp_path):
 
 def _constant_view(values, T=4, S=2):
     series = np.asarray(values, dtype=np.float64).reshape(-1, 1)
-    cfg = NodeShapeConfig(node_id=0, T=T, C=1, S=S, PL=2, var_ids=[0], target_id=0)
+    cfg = NodeShapeConfig(node_id=0, T=T, S=S, PL=2, var_ids=[0], target_id=0)
     starts = np.arange(series.shape[0] - T - S + 1)
     return NodeDataView(0, series, starts, "test", cfg)
 
@@ -320,6 +326,10 @@ def _network(**fields):
     return {"n_nodes": 2, "strides": [1, 1], "T": 24, "S": 8, "PL": 4, **fields}
 
 
+def _synthetic(**fields):
+    return {"dataset": {"synthetic": {"n_vars": 4, "length": 1000, **fields}}}
+
+
 @pytest.mark.parametrize("overrides", [
     {"dataset": {"synthetic": {"n_vars": 4, "length": 1000, "bogus": 1}}},
     {"optimizer": {"lr": -1, "epochs": 1}},
@@ -343,6 +353,18 @@ def _network(**fields):
     {"use_pos_embed": True},
     {"optimizer": {"lr": 1e-3, "shuffle": False}},
     {"optimizer": {"lr": 1e-3, "reset_client_opt": True}},
+    _synthetic(n_vars="x"),
+    _synthetic(n_vars=True),
+    _synthetic(n_vars=1),
+    _synthetic(length=4000.5),
+    _synthetic(length=999),
+    _synthetic(seed=-1),
+    _synthetic(couplings=3),
+    _synthetic(noise_sigma="a"),
+    _synthetic(period_range=[0, 0]),
+    {"network": _network(target_id=4)},
+    {"network": _network(subset_size=4)},
+    {"subset_sizes": [2, 4]},
 ])
 def test_cli_rejects_bad_values_with_exit_2_before_any_io(tmp_path, capsys, monkeypatch,
                                                           overrides):
@@ -387,6 +409,34 @@ def test_cli_gen_synthetic_round_trips(tmp_path):
     loaded = load_csv(out)
     reference = generate_synthetic(4, 1200, seed=3)
     assert np.array_equal(loaded.values, reference.values)
+
+
+@pytest.mark.parametrize("block", [
+    {"bogus": 1},
+    {"n_vars": "x"},
+    {"length": 4000.5},
+    {"seed": -1},
+    {"noise_sigma": 0.1},
+    [4, 1000],
+])
+def test_cli_gen_synthetic_rejects_bad_config_with_exit_2(tmp_path, capsys, block):
+    path = tmp_path / "synthetic.json"
+    path.write_text(json.dumps(block))
+    out = tmp_path / "data.csv"
+    assert cli_main(["gen-synthetic", "--config", str(path), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_gen_synthetic_config_overrides_flags(tmp_path):
+    path = tmp_path / "synthetic.json"
+    path.write_text(json.dumps({"n_vars": 3, "seed": 5}))
+    out = tmp_path / "data.csv"
+    assert cli_main(["gen-synthetic", "--config", str(path), "--out", str(out),
+                     "--length", "1000"]) == 0
+    from pixtime import generate_synthetic, load_csv
+
+    assert np.array_equal(load_csv(out).values, generate_synthetic(3, 1000, seed=5).values)
 
 
 def test_cli_missing_config_file_is_runtime_error(tmp_path, capsys):

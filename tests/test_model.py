@@ -20,7 +20,7 @@ from pixtime.errors import CategoryError, ConfigError, ShapeError
 
 def tiny_model(seed=0, use_ve=True, n_all=4):
     dims = ModelDims(D=8, L=1, H=2, d_ff=16, n_all=n_all)
-    cfg = NodeShapeConfig(node_id=0, T=8, C=2, S=4, PL=4, var_ids=[1, 2], target_id=0)
+    cfg = NodeShapeConfig(node_id=0, T=8, S=4, PL=4, var_ids=[1, 2], target_id=0)
     return PiXTime(dims, cfg, seed=seed, use_ve=use_ve)
 
 
@@ -118,7 +118,7 @@ def test_patch_embed_row0_is_abstract_token():
 
 def test_patch_embed_hand_matmul():
     dims = ModelDims(D=3, L=1, H=1, d_ff=4, n_all=2)
-    cfg = NodeShapeConfig(node_id=0, T=4, C=1, S=2, PL=2, var_ids=[1], target_id=0)
+    cfg = NodeShapeConfig(node_id=0, T=4, S=2, PL=2, var_ids=[1], target_id=0)
     model = PiXTime(dims, cfg, seed=0)
     W = np.array([[1.0, 0.0, 2.0], [0.5, -1.0, 0.0]])
     b = np.array([0.1, 0.2, 0.3])
@@ -161,7 +161,7 @@ def test_variable_embed_zero_linear_returns_table_rows():
 
 def test_variable_embed_hand_case():
     dims = ModelDims(D=3, L=1, H=1, d_ff=4, n_all=3)
-    cfg = NodeShapeConfig(node_id=0, T=4, C=2, S=2, PL=2, var_ids=[0, 2], target_id=1)
+    cfg = NodeShapeConfig(node_id=0, T=4, S=2, PL=2, var_ids=[0, 2], target_id=1)
     model = PiXTime(dims, cfg, seed=1)
     rng = np.random.default_rng(4)
     model.ve_table.data[...] = rng.standard_normal((3, 3))
@@ -201,7 +201,7 @@ def test_aux_encoder_permutation_equivariant():
 
 def test_aux_encoder_matches_staged_oracle():
     dims = ModelDims(D=4, L=1, H=1, d_ff=6, n_all=3)
-    cfg = NodeShapeConfig(node_id=0, T=4, C=2, S=2, PL=2, var_ids=[1, 2], target_id=0)
+    cfg = NodeShapeConfig(node_id=0, T=4, S=2, PL=2, var_ids=[1, 2], target_id=0)
     model = PiXTime(dims, cfg, seed=7)
     p = np_values(model)
     rng = np.random.default_rng(7)
@@ -238,7 +238,7 @@ def test_decoder_layer_single_auxiliary_weight_is_one():
     # swapping in any other single token with equal projected value set
     # is equivalent to attending to that token alone
     dims = ModelDims(D=4, L=1, H=1, d_ff=6, n_all=3)
-    cfg = NodeShapeConfig(node_id=0, T=4, C=1, S=2, PL=2, var_ids=[1], target_id=0)
+    cfg = NodeShapeConfig(node_id=0, T=4, S=2, PL=2, var_ids=[1], target_id=0)
     model = PiXTime(dims, cfg, seed=9)
     p = np_values(model)
     rng = np.random.default_rng(9)
@@ -264,7 +264,7 @@ def test_decoder_layer_single_auxiliary_weight_is_one():
 
 def test_decoder_layer_matches_three_stage_oracle():
     dims = ModelDims(D=4, L=1, H=1, d_ff=6, n_all=3)
-    cfg = NodeShapeConfig(node_id=0, T=4, C=2, S=2, PL=2, var_ids=[1, 2], target_id=0)
+    cfg = NodeShapeConfig(node_id=0, T=4, S=2, PL=2, var_ids=[1, 2], target_id=0)
     model = PiXTime(dims, cfg, seed=10)
     p = np_values(model)
     rng = np.random.default_rng(10)
@@ -312,7 +312,7 @@ def test_projection_ignores_abstract_token_row():
 
 def test_projection_hand_case():
     dims = ModelDims(D=2, L=1, H=1, d_ff=4, n_all=2)
-    cfg = NodeShapeConfig(node_id=0, T=4, C=1, S=3, PL=2, var_ids=[1], target_id=0)
+    cfg = NodeShapeConfig(node_id=0, T=4, S=3, PL=2, var_ids=[1], target_id=0)
     model = PiXTime(dims, cfg, seed=13)
     rng = np.random.default_rng(13)
     W = rng.standard_normal((4, 3))  # M*D = 4 -> S = 3
@@ -341,7 +341,7 @@ HETERO_CONFIGS = [
 def test_forward_output_length_matches_horizon(T, PL, C, S):
     dims = ModelDims(D=8, L=1, H=2, d_ff=16, n_all=9)
     cfg = NodeShapeConfig(
-        node_id=0, T=T, C=C, S=S, PL=PL, var_ids=list(range(1, C + 1)), target_id=0
+        node_id=0, T=T, S=S, PL=PL, var_ids=list(range(1, C + 1)), target_id=0
     )
     model = PiXTime(dims, cfg, seed=14)
     rng = np.random.default_rng(14)
@@ -372,7 +372,7 @@ def test_shared_parameter_names_and_shapes_agree_across_heterogeneous_nodes():
     layouts = []
     for node_id, (T, PL, C, S) in enumerate(HETERO_CONFIGS):
         cfg = NodeShapeConfig(
-            node_id=node_id, T=T, C=C, S=S, PL=PL,
+            node_id=node_id, T=T, S=S, PL=PL,
             var_ids=list(range(1, C + 1)), target_id=0,
         )
         model = PiXTime(dims, cfg, seed=node_id)
@@ -405,7 +405,7 @@ def test_m2m_single_variable_equals_u2u():
 @pytest.mark.parametrize("n_var", [2, 5])
 def test_m2m_output_shape(n_var):
     dims = ModelDims(D=8, L=1, H=2, d_ff=16, n_all=6)
-    cfg = NodeShapeConfig(node_id=0, T=8, C=2, S=4, PL=4, var_ids=[1, 2], target_id=0)
+    cfg = NodeShapeConfig(node_id=0, T=8, S=4, PL=4, var_ids=[1, 2], target_id=0)
     model = PiXTime(dims, cfg, seed=19)
     series = np.random.default_rng(19).standard_normal((8, n_var))
     out = model.m2m_forward(series, var_ids=list(range(n_var)))

@@ -68,7 +68,7 @@ def test_model_adam_matches_scripted_recurrence_per_parameter():
     # one step over the model's flat vectors updates every parameter as
     # its own Adam would
     dims = ModelDims(D=8, L=1, H=2, d_ff=16, n_all=4)
-    cfg = NodeShapeConfig(node_id=0, T=8, C=2, S=4, PL=4, var_ids=[1, 2], target_id=0)
+    cfg = NodeShapeConfig(node_id=0, T=8, S=4, PL=4, var_ids=[1, 2], target_id=0)
     model = PiXTime(dims, cfg, seed=5)
     lr = 1e-2
     rng = np.random.default_rng(5)

@@ -26,6 +26,7 @@ from .autodiff import (
     multi_head_attention,
     no_grad,
     reshape,
+    residual_layer_norm,
     slice_axis,
     softmax,
 )

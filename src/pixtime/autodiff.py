@@ -1,11 +1,14 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
-The tape records composite operations (matmul, softmax, layer_norm,
-attention, ffn, mse, concat, slicing, ...) instead of an elementwise
-scalar graph, so every backward rule is a short numpy expression that can
-be checked by hand. Values are float64 throughout and immutable once
-created; a non-finite result raises instead of propagating silently,
-saying whether the operation or its inputs were at fault.
+The tape records whole operations (matmul, softmax, layer_norm, mse,
+concat, slicing, ...) instead of an elementwise scalar graph, so every
+backward rule is a short numpy expression that can be checked by hand.
+Four fused operations put one node each on the tape, with a hand-written
+backward: `linear`, `multi_head_attention`, `ffn` and
+`residual_layer_norm`. They and the primitives share one numpy forward
+and VJP kernel per formula. Values are float64 throughout and immutable
+once created; a non-finite result raises instead of propagating
+silently, saying whether the operation or its inputs were at fault.
 """
 
 from dataclasses import dataclass
@@ -360,18 +363,98 @@ def gather_rows(table: Tensor, ids) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# numpy kernels: each forward formula and its VJP written once, shared by the
+# primitives and the fused operations below
+# ---------------------------------------------------------------------------
+
+def _gelu_fwd(x: np.ndarray) -> tuple:
+    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    return x * cdf, cdf
+
+
+def _gelu_vjp(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
+    return g * (cdf + x * pdf)
+
+
+def _softmax_fwd(x: np.ndarray, axis: int) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_vjp(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
+    inner = (g * y).sum(axis=axis, keepdims=True)
+    return y * (g - inner)
+
+
+def _check_layer_norm(n: int, gain: Tensor, bias: Tensor, eps: float) -> None:
+    if gain.shape != (n,) or bias.shape != (n,):
+        raise ShapeError(
+            f"layer_norm gain/bias must have shape ({n},), got {gain.shape} and {bias.shape}"
+        )
+    if eps <= 0:
+        raise ConfigError(f"layer_norm eps must be positive, got {eps}")
+
+
+def _layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float) -> tuple:
+    """Returns (output, xhat, inv_std); the last two are what the VJP needs."""
+    centered = x - x.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv_std
+    return gain * xhat + bias, xhat, inv_std
+
+
+def _layer_norm_vjp(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
+                    gain: np.ndarray) -> tuple:
+    lead = tuple(range(g.ndim - 1))
+    g_gain = (g * xhat).sum(axis=lead)
+    g_bias = g.sum(axis=lead)
+    gx = g * gain
+    gx_mean = gx.mean(axis=-1, keepdims=True)
+    gxx_mean = (gx * xhat).mean(axis=-1, keepdims=True)
+    return inv_std * (gx - gx_mean - xhat * gxx_mean), g_gain, g_bias
+
+
+def _check_linear(x_shape: tuple, weight: Tensor, bias) -> None:
+    if weight.ndim != 2 or not x_shape or x_shape[-1] != weight.shape[0]:
+        raise ShapeError(f"linear cannot map input {x_shape} with weight {weight.shape}")
+    if bias is not None and bias.shape != weight.shape[1:]:
+        raise ShapeError(f"linear bias {bias.shape} does not match weight {weight.shape}")
+
+
+def _linear_fwd(x: np.ndarray, w: np.ndarray, b) -> tuple:
+    """One 2-D GEMM over the flattened leading axes; returns (x as 2-D, output)."""
+    x2 = x.reshape(-1, w.shape[0])
+    y = x2 @ w
+    if b is not None:
+        y += b
+    return x2, y.reshape(x.shape[:-1] + (w.shape[1],))
+
+
+def _linear_vjp(g: np.ndarray, x2: np.ndarray, w: np.ndarray, x_shape) -> tuple:
+    """(input, weight, bias) gradients; the input one is None when `x_shape` is."""
+    g2 = g.reshape(-1, w.shape[1])
+    gx = None if x_shape is None else (g2 @ w.T).reshape(x_shape)
+    return gx, x2.T @ g2, g2.sum(axis=0)
+
+
+def _grad_shape(t: Tensor):
+    """The shape of `t`'s gradient, or None when `t` is off the tape."""
+    return t.shape if t.requires_grad else None
+
+
+# ---------------------------------------------------------------------------
 # neural-network primitives
 # ---------------------------------------------------------------------------
 
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) GELU activation."""
     x = as_tensor(x)
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    data = x.data * cdf
+    data, cdf = _gelu_fwd(x.data)
 
     def vjp(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
-        return (g * (cdf + x.data * pdf),)
+        return (_gelu_vjp(g, x.data, cdf),)
 
     return _result(data, (x,), vjp, "gelu")
 
@@ -381,13 +464,10 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     x = as_tensor(x)
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"softmax axis {axis} out of range for shape {x.shape}")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = _softmax_fwd(x.data, axis)
 
     def vjp(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - inner),)
+        return (_softmax_vjp(g, y, axis),)
 
     return _result(y, (x,), vjp, "softmax")
 
@@ -395,29 +475,11 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Standardize the last axis (biased 1/n variance) then apply gain/bias."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    n = x.shape[-1]
-    if gain.shape != (n,) or bias.shape != (n,):
-        raise ShapeError(
-            f"layer_norm gain/bias must have shape ({n},), got {gain.shape} and {bias.shape}"
-        )
-    if eps <= 0:
-        raise ConfigError(f"layer_norm eps must be positive, got {eps}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    data = gain.data * xhat + bias.data
+    _check_layer_norm(x.shape[-1], gain, bias, eps)
+    data, xhat, inv_std = _layer_norm_fwd(x.data, gain.data, bias.data, eps)
 
     def vjp(g):
-        lead = tuple(range(g.ndim - 1))
-        g_gain = (g * xhat).sum(axis=lead)
-        g_bias = g.sum(axis=lead)
-        gx = g * gain.data
-        gx_mean = gx.mean(axis=-1, keepdims=True)
-        gxx_mean = (gx * xhat).mean(axis=-1, keepdims=True)
-        g_x = inv_std * (gx - gx_mean - xhat * gxx_mean)
-        return g_x, g_gain, g_bias
+        return _layer_norm_vjp(g, xhat, inv_std, gain.data)
 
     return _result(data, (x, gain, bias), vjp, "layer_norm")
 
@@ -438,9 +500,24 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
     return _result(data, (pred, target), vjp, "mse")
 
 
+# ---------------------------------------------------------------------------
+# fused operations: one tape node each, with a hand-written backward
+# ---------------------------------------------------------------------------
+
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map applied to the last axis: x @ weight + bias."""
-    return add(matmul(x, weight), bias)
+    """Affine map applied to the last axis: x @ weight + bias.
+
+    `weight` is (n_in, n_out) and `bias` (n_out,); `x` is (..., n_in)
+    with any number of leading axes, including none.
+    """
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
+    _check_linear(x.shape, weight, bias)
+    x2, data = _linear_fwd(x.data, weight.data, bias.data)
+
+    def vjp(g):
+        return _linear_vjp(g, x2, weight.data, _grad_shape(x))
+
+    return _result(data, (x, weight, bias), vjp, "linear")
 
 
 @dataclass
@@ -478,20 +555,6 @@ class LayerNormWeights:
     bias: Tensor
 
 
-def _split_heads(x: Tensor, n_heads: int, head_dim: int) -> Tensor:
-    # (..., n, D) -> (..., H, n, head_dim)
-    lead = x.shape[:-2]
-    n = x.shape[-2]
-    y = reshape(x, lead + (n, n_heads, head_dim))
-    return swapaxes(y, -3, -2)
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    # (..., H, n, head_dim) -> (..., n, H * head_dim)
-    y = swapaxes(x, -3, -2)
-    return reshape(y, y.shape[:-2] + (y.shape[-2] * y.shape[-1],))
-
-
 def multi_head_attention(
     q_tokens: Tensor,
     k_tokens: Tensor,
@@ -506,6 +569,7 @@ def multi_head_attention(
     query sequences. Output has the query token count and dimension D.
     """
     q_tokens, k_tokens, v_tokens = map(as_tensor, (q_tokens, k_tokens, v_tokens))
+    w = weights
     d_model = q_tokens.shape[-1]
     if d_model % n_heads != 0:
         raise ConfigError(
@@ -515,18 +579,74 @@ def multi_head_attention(
         raise ShapeError(
             f"key/value token counts disagree: {k_tokens.shape} vs {v_tokens.shape}"
         )
+    for t, w_x, b_x in ((q_tokens, w.w_q, w.b_q), (k_tokens, w.w_k, None),
+                        (v_tokens, w.w_v, w.b_v), (q_tokens, w.w_o, w.b_o)):
+        if w_x.shape != (d_model, d_model):
+            raise ShapeError(f"attention weights must be {(d_model, d_model)}, got {w_x.shape}")
+        _check_linear(t.shape, w_x, b_x)
     head_dim = d_model // n_heads
+    c = 1.0 / np.sqrt(head_dim)
 
-    q = _split_heads(linear(q_tokens, weights.w_q, weights.b_q), n_heads, head_dim)
-    k = _split_heads(matmul(k_tokens, weights.w_k), n_heads, head_dim)
-    v = _split_heads(linear(v_tokens, weights.w_v, weights.b_v), n_heads, head_dim)
+    def split(t):  # (..., n, D) -> (..., H, n, head_dim)
+        return np.swapaxes(t.reshape(t.shape[:-1] + (n_heads, head_dim)), -3, -2)
 
-    scores = scale(matmul(q, swapaxes(k, -1, -2)), 1.0 / np.sqrt(head_dim))
-    attn = softmax(scores, axis=-1)
-    ctx = matmul(attn, v)  # (..., H, n_q, head_dim)
-    return linear(_merge_heads(ctx), weights.w_o, weights.b_o)
+    def merge(t):  # (..., H, n, head_dim) -> (..., n, D)
+        t = np.swapaxes(t, -3, -2)
+        return t.reshape(t.shape[:-2] + (d_model,))
+
+    q2, q = _linear_fwd(q_tokens.data, w.w_q.data, w.b_q.data)
+    k2, k = _linear_fwd(k_tokens.data, w.w_k.data, None)
+    v2, v = _linear_fwd(v_tokens.data, w.w_v.data, w.b_v.data)
+    q, k, v = split(q), split(k), split(v)
+    attn = _softmax_fwd((q @ np.swapaxes(k, -1, -2)) * c, -1)
+    ctx = merge(attn @ v)
+    ctx2, data = _linear_fwd(ctx, w.w_o.data, w.b_o.data)
+
+    def vjp(g):
+        g_ctx, g_wo, g_bo = _linear_vjp(g, ctx2, w.w_o.data, ctx.shape)
+        g_ctx = split(g_ctx)
+        g_v = _unbroadcast(np.swapaxes(attn, -1, -2) @ g_ctx, v.shape)
+        g_s = _softmax_vjp(g_ctx @ np.swapaxes(v, -1, -2), attn, -1) * c
+        g_q = _unbroadcast(g_s @ k, q.shape)
+        g_k = _unbroadcast(np.swapaxes(g_s, -1, -2) @ q, k.shape)
+        g_qt, g_wq, g_bq = _linear_vjp(merge(g_q), q2, w.w_q.data, _grad_shape(q_tokens))
+        g_kt, g_wk, _ = _linear_vjp(merge(g_k), k2, w.w_k.data, _grad_shape(k_tokens))
+        g_vt, g_wv, g_bv = _linear_vjp(merge(g_v), v2, w.w_v.data, _grad_shape(v_tokens))
+        return g_qt, g_kt, g_vt, g_wq, g_bq, g_wk, g_wv, g_bv, g_wo, g_bo
+
+    parents = (q_tokens, k_tokens, v_tokens, w.w_q, w.b_q, w.w_k, w.w_v, w.b_v, w.w_o, w.b_o)
+    return _result(data, parents, vjp, "multi_head_attention")
 
 
 def ffn(x: Tensor, weights: FeedForwardWeights) -> Tensor:
     """Token-wise feed-forward block: linear -> GELU -> linear."""
-    return linear(gelu(linear(x, weights.w1, weights.b1)), weights.w2, weights.b2)
+    x = as_tensor(x)
+    w = weights
+    _check_linear(x.shape, w.w1, w.b1)
+    _check_linear(w.w1.shape[1:], w.w2, w.b2)
+    x2, h = _linear_fwd(x.data, w.w1.data, w.b1.data)
+    a, cdf = _gelu_fwd(h)
+    a2, data = _linear_fwd(a, w.w2.data, w.b2.data)
+
+    def vjp(g):
+        g_a, g_w2, g_b2 = _linear_vjp(g, a2, w.w2.data, a.shape)
+        g_x, g_w1, g_b1 = _linear_vjp(_gelu_vjp(g_a, h, cdf), x2, w.w1.data, _grad_shape(x))
+        return g_x, g_w1, g_b1, g_w2, g_b2
+
+    return _result(data, (x, w.w1, w.b1, w.w2, w.b2), vjp, "ffn")
+
+
+def residual_layer_norm(x: Tensor, y: Tensor, weights: LayerNormWeights,
+                        eps: float = 1e-5) -> Tensor:
+    """Post-norm residual connection: layer_norm(x + y), one tape node."""
+    x, y = as_tensor(x), as_tensor(y)
+    gain, bias = as_tensor(weights.gain), as_tensor(weights.bias)
+    s = x.data + y.data
+    _check_layer_norm(s.shape[-1], gain, bias, eps)
+    data, xhat, inv_std = _layer_norm_fwd(s, gain.data, bias.data, eps)
+
+    def vjp(g):
+        g_s, g_gain, g_bias = _layer_norm_vjp(g, xhat, inv_std, gain.data)
+        return _unbroadcast(g_s, x.shape), _unbroadcast(g_s, y.shape), g_gain, g_bias
+
+    return _result(data, (x, y, gain, bias), vjp, "residual_layer_norm")

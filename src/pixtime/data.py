@@ -228,7 +228,6 @@ def generate_synthetic(
 class NodeDataView:
     """One node's immutable slice of the experiment data for one split."""
 
-    node_id: int
     series: np.ndarray
     starts: np.ndarray
     split: str
@@ -252,7 +251,7 @@ def build_node_views(standardized: np.ndarray, cfg: NodeShapeConfig, split: Spli
     views = {}
     train_starts = make_windows(train_end, cfg.T, cfg.S)
     owned = train_starts[partition_windows(len(train_starts), partition_count, partition_rank)]
-    views["train"] = NodeDataView(cfg.node_id, series, owned, "train", cfg)
+    views["train"] = NodeDataView(series, owned, "train", cfg)
 
     val_len = val_end - train_end
     if val_len >= cfg.T + cfg.S:
@@ -260,14 +259,14 @@ def build_node_views(standardized: np.ndarray, cfg: NodeShapeConfig, split: Spli
         owned_val = val_starts[partition_windows(len(val_starts), partition_count, partition_rank)]
     else:
         owned_val = np.array([], dtype=np.intp)
-    views["val"] = NodeDataView(cfg.node_id, series, owned_val, "val", cfg)
+    views["val"] = NodeDataView(series, owned_val, "val", cfg)
 
     test_len = n - val_end
     if test_len >= cfg.T + cfg.S:
         test_starts = make_windows(test_len, cfg.T, cfg.S) + val_end
     else:
         test_starts = np.array([], dtype=np.intp)
-    views["test"] = NodeDataView(cfg.node_id, series, test_starts, "test", cfg)
+    views["test"] = NodeDataView(series, test_starts, "test", cfg)
     return views
 
 

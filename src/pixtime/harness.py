@@ -228,7 +228,7 @@ def evaluate(node: FederatedNode, view: NodeDataView | None = None,
     """Standardized-scale MSE/MAE of the node's model over its test windows."""
     view = view if view is not None else node.views["test"]
     if len(view.starts) == 0:
-        raise EvaluationError(f"node {view.node_id}: empty evaluation split")
+        raise EvaluationError(f"node {view.cfg.node_id}: empty evaluation split")
     S = view.cfg.S
     sq_sum = np.zeros(S)
     abs_sum = 0.0
@@ -245,7 +245,7 @@ def evaluate(node: FederatedNode, view: NodeDataView | None = None,
 def persistence_baseline(view: NodeDataView) -> Metrics:
     """Repeat the last observed target value across the horizon."""
     if len(view.starts) == 0:
-        raise EvaluationError(f"node {view.node_id}: empty evaluation split")
+        raise EvaluationError(f"node {view.cfg.node_id}: empty evaluation split")
     S = view.cfg.S
     x, _, y = gather_batch(view, view.starts)
     pred = np.repeat(x[:, -1:], S, axis=1)
@@ -268,13 +268,13 @@ def load_dataset(config: ExperimentConfig) -> RawDataset:
 
 
 def build_nodes(config: ExperimentConfig, standardized: np.ndarray,
-                n_columns: int, seed: int) -> list:
+                dims: ModelDims, seed: int) -> list:
     """Instantiate the federated nodes described by the network block."""
     net = config.network
-    all_ids = list(range(n_columns))
-    if net.target_id >= n_columns:
+    all_ids = list(range(dims.n_all))
+    if net.target_id >= dims.n_all:
         raise ConfigError(
-            f"target id {net.target_id} outside the {n_columns}-column dataset"
+            f"target id {net.target_id} outside the {dims.n_all}-column dataset"
         )
     if net.subset_size is None:
         aux = [v for v in all_ids if v != net.target_id]
@@ -305,7 +305,7 @@ def build_nodes(config: ExperimentConfig, standardized: np.ndarray,
         )
         nodes.append(
             FederatedNode(
-                ModelDims(config.D, config.L, config.H, config.d_ff, n_columns),
+                dims,
                 cfg,
                 views,
                 seed=seed,
@@ -320,8 +320,8 @@ def build_nodes(config: ExperimentConfig, standardized: np.ndarray,
 def _prepare(config: ExperimentConfig, seed: int) -> tuple:
     raw = load_dataset(config)
     standardized, _, _ = standardize(raw, config.dataset.split)
-    nodes = build_nodes(config, standardized.values, raw.values.shape[1], seed)
     dims = ModelDims(config.D, config.L, config.H, config.d_ff, raw.values.shape[1])
+    nodes = build_nodes(config, standardized.values, dims, seed)
     global_shared = init_global_shared(dims, seed)
     for node in nodes:
         node.load_shared(global_shared)

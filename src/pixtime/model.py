@@ -305,9 +305,8 @@ class PiXTime:
         H = self.dims.H
         for lp in self.encoder_layers:
             att = ad.multi_head_attention(x, x, x, lp["self_att"], H)
-            x = ad.layer_norm(ad.add(x, att), lp["ln1"].gain, lp["ln1"].bias, LN_EPS)
-            f = ad.ffn(x, lp["ffn"])
-            x = ad.layer_norm(ad.add(x, f), lp["ln2"].gain, lp["ln2"].bias, LN_EPS)
+            x = ad.residual_layer_norm(x, att, lp["ln1"], LN_EPS)
+            x = ad.residual_layer_norm(x, ad.ffn(x, lp["ffn"]), lp["ln2"], LN_EPS)
         return x
 
     def decoder_layer(self, tokens: Tensor, v_aux: Tensor, layer: int) -> Tensor:
@@ -323,25 +322,19 @@ class PiXTime:
         n_tokens = tokens.shape[-2]
 
         att = ad.multi_head_attention(tokens, tokens, tokens, lp["self_att"], H)
-        t1 = ad.layer_norm(ad.add(tokens, att), lp["ln1"].gain, lp["ln1"].bias, LN_EPS)
+        t1 = ad.residual_layer_norm(tokens, att, lp["ln1"], LN_EPS)
 
         head = ad.slice_axis(t1, -2, 0, 1)
         cross = ad.multi_head_attention(head, v_aux, v_aux, lp["cross_att"], H)
-        head = ad.layer_norm(ad.add(head, cross), lp["ln2"].gain, lp["ln2"].bias, LN_EPS)
+        head = ad.residual_layer_norm(head, cross, lp["ln2"], LN_EPS)
 
         t2 = ad.concat([head, ad.slice_axis(t1, -2, 1, n_tokens)], axis=-2)
-        f = ad.ffn(t2, lp["ffn"])
-        return ad.layer_norm(ad.add(t2, f), lp["ln3"].gain, lp["ln3"].bias, LN_EPS)
+        return ad.residual_layer_norm(t2, ad.ffn(t2, lp["ffn"]), lp["ln3"], LN_EPS)
 
     def projection(self, tokens: Tensor) -> Tensor:
         """Flatten the M patch tokens (abstract token dropped) to length S."""
-        M, D, S = self.node.M, self.dims.D, self.node.S
         patches = ad.slice_axis(tokens, -2, 1, tokens.shape[-2])
-        lead = patches.shape[:-2]
-        flat = ad.reshape(patches, lead + (M * D,))
-        if flat.ndim == 1:
-            out = ad.linear(ad.reshape(flat, (1, M * D)), self.proj_w, self.proj_b)
-            return ad.reshape(out, (S,))
+        flat = ad.reshape(patches, patches.shape[:-2] + (self.node.M * self.dims.D,))
         return ad.linear(flat, self.proj_w, self.proj_b)
 
     def forward(self, x, Z, var_ids=None) -> Tensor:

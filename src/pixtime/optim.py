@@ -21,6 +21,7 @@ class Adam:
         self.values, self.grads = values, grads
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t, self.m, self.v = 0, None, None
+        self._update = self._denom = None
 
     def zero_grad(self) -> None:
         self.grads[...] = 0.0
@@ -28,17 +29,24 @@ class Adam:
     def step(self) -> None:
         if self.t == 0:
             # zeroed here, not at construction, so building a model
-            # allocates no moments
+            # allocates no moments; the two scratch vectors hold every
+            # intermediate, so a step allocates nothing
             self.m, self.v = np.zeros_like(self.values), np.zeros_like(self.values)
+            self._update, self._denom = np.empty_like(self.values), np.empty_like(self.values)
         self.t += 1
         m, v, g = self.m, self.v, self.grads
+        update, denom = self._update, self._denom
         m *= self.beta1
-        m += (1.0 - self.beta1) * g
+        m += np.multiply(1.0 - self.beta1, g, out=update)
         v *= self.beta2
-        v += (1.0 - self.beta2) * (g * g)
-        update = m / (1.0 - self.beta1 ** self.t)
+        np.multiply(g, g, out=update)
+        v += np.multiply(1.0 - self.beta2, update, out=update)
+        np.divide(m, 1.0 - self.beta1 ** self.t, out=update)
         update *= self.lr
-        update /= np.sqrt(v / (1.0 - self.beta2 ** self.t)) + self.eps
+        np.divide(v, 1.0 - self.beta2 ** self.t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update /= denom
         self.values -= update
 
 

@@ -6,6 +6,7 @@ import pytest
 from pixtime import (
     AttentionWeights,
     FeedForwardWeights,
+    LayerNormWeights,
     Parameter,
     Tensor,
     backward,
@@ -20,10 +21,11 @@ from pixtime import (
     multi_head_attention,
     no_grad,
     reshape,
+    residual_layer_norm,
     slice_axis,
     softmax,
 )
-from pixtime.autodiff import broadcast_to, swapaxes
+from pixtime.autodiff import add, broadcast_to, scale, swapaxes
 from pixtime.errors import ConfigError, NumericError, ShapeError, TapeError
 
 
@@ -493,3 +495,187 @@ def test_linear_bias_broadcast_gradient():
     w = Tensor(rng.standard_normal((2, 3)))
     target = Tensor(rng.standard_normal((4, 3)))
     _fd_check(lambda: mse(linear(x, w, b), target), b)
+
+
+# ---------------------------------------------------------------------------
+# fused operations: every input's gradient against finite differences
+# ---------------------------------------------------------------------------
+
+# (query, key, value) token shapes: distinct q and kv, and the m2m case where
+# (B, n_var, 1, D) abstract tokens attend to (B, 1, C, D) shared keys
+ATTENTION_INPUT_SHAPES = {
+    "distinct": ((3, 4), (2, 4), (2, 4)),
+    "m2m_broadcast": ((2, 3, 1, 4), (2, 1, 5, 4), (2, 1, 5, 4)),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", sorted(ATTENTION_INPUT_SHAPES))
+def test_attention_token_gradients(seed, case):
+    rng = np.random.default_rng(seed)
+    _, bundle = _rand_attention_weights(rng, 4)
+    q, k, v = (Parameter(n, rng.standard_normal(s))
+               for n, s in zip("qkv", ATTENTION_INPUT_SHAPES[case]))
+    target = Tensor(rng.standard_normal(np.broadcast_shapes(q.shape[:-2], k.shape[:-2])
+                                        + q.shape[-2:]))
+    for token in (q, k, v):
+        _fd_check(lambda: mse(multi_head_attention(q, k, v, bundle, 2), target), token)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_self_attention_token_gradient(seed):
+    rng = np.random.default_rng(seed)
+    _, bundle = _rand_attention_weights(rng, 4)
+    x = Parameter("x", rng.standard_normal((2, 3, 4)))
+    target = Tensor(rng.standard_normal((2, 3, 4)))
+    _fd_check(lambda: mse(multi_head_attention(x, x, x, bundle, 2), target), x)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ffn_gradients_for_every_input(seed):
+    rng = np.random.default_rng(seed)
+    x = Parameter("x", rng.standard_normal((2, 3, 4)))
+    w = FeedForwardWeights(
+        Parameter("w1", rng.standard_normal((4, 6))), Parameter("b1", rng.standard_normal(6)),
+        Parameter("w2", rng.standard_normal((6, 4))), Parameter("b2", rng.standard_normal(4)),
+    )
+    target = Tensor(rng.standard_normal((2, 3, 4)))
+    for p in (x, w.w1, w.b1, w.w2, w.b2):
+        _fd_check(lambda: mse(ffn(x, w), target), p)
+
+
+@pytest.mark.parametrize("x_shape", [(3,), (4, 3), (2, 4, 3)])
+def test_linear_gradients_for_every_input(x_shape):
+    rng = np.random.default_rng(len(x_shape))
+    x = Parameter("x", rng.standard_normal(x_shape))
+    w = Parameter("w", rng.standard_normal((3, 5)))
+    b = Parameter("b", rng.standard_normal(5))
+    target = Tensor(rng.standard_normal(x_shape[:-1] + (5,)))
+    for p in (x, w, b):
+        _fd_check(lambda: mse(linear(x, w, b), target), p)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_residual_layer_norm_gradients_for_every_input(seed):
+    rng = np.random.default_rng(seed)
+    x = Parameter("x", rng.standard_normal((2, 3, 4)))
+    y = Parameter("y", rng.standard_normal((2, 3, 4)))
+    ln = LayerNormWeights(Parameter("gain", rng.standard_normal(4)),
+                          Parameter("bias", rng.standard_normal(4)))
+    target = Tensor(rng.standard_normal((2, 3, 4)))
+    for p in (x, y, ln.gain, ln.bias):
+        _fd_check(lambda: mse(residual_layer_norm(x, y, ln, 1e-5), target), p)
+
+
+# ---------------------------------------------------------------------------
+# fused operations against their unfused composition of public primitives
+# ---------------------------------------------------------------------------
+
+def ref_linear(x, w, b):
+    return add(matmul(x, w), b)
+
+
+def ref_split_heads(x, n_heads):
+    # (..., n, D) -> (..., H, n, D // H)
+    return swapaxes(reshape(x, x.shape[:-1] + (n_heads, x.shape[-1] // n_heads)), -3, -2)
+
+
+def ref_attention(q, k, v, w, n_heads):
+    head_dim = q.shape[-1] // n_heads
+    Q = ref_split_heads(ref_linear(q, w.w_q, w.b_q), n_heads)
+    K = ref_split_heads(matmul(k, w.w_k), n_heads)
+    V = ref_split_heads(ref_linear(v, w.w_v, w.b_v), n_heads)
+    scores = scale(matmul(Q, swapaxes(K, -1, -2)), 1.0 / np.sqrt(head_dim))
+    ctx = swapaxes(matmul(softmax(scores, axis=-1), V), -3, -2)
+    return ref_linear(reshape(ctx, ctx.shape[:-2] + (q.shape[-1],)), w.w_o, w.b_o)
+
+
+def ref_ffn(x, w):
+    return ref_linear(gelu(ref_linear(x, w.w1, w.b1)), w.w2, w.b2)
+
+
+def ref_residual_layer_norm(x, y, ln, eps):
+    return layer_norm(add(x, y), ln.gain, ln.bias, eps)
+
+
+def _params(rng, shapes, scale_by=1.0):
+    return {n: Parameter(n, scale_by * rng.standard_normal(s)) for n, s in shapes.items()}
+
+
+def _assert_fused_matches_reference(fused, reference, params):
+    """Forward values and every input's gradient agree within 1e-12.
+
+    The fused output is also a single tape node whose parents are leaves.
+    """
+    out = fused()
+    assert all(p._vjp is None for p in out._parents)
+    target = Tensor(np.random.default_rng(99).standard_normal(out.shape))
+    grads = []
+    for build in (fused, reference):
+        for p in params.values():
+            p.zero_grad()
+        out = build()
+        backward(mse(out, target))
+        grads.append((out.data, {n: p.grad.copy() for n, p in params.items()}))
+    (fused_out, fused_grads), (ref_out, ref_grads) = grads
+    assert np.max(np.abs(fused_out - ref_out)) < 1e-12
+    for n in params:
+        assert np.max(np.abs(fused_grads[n] - ref_grads[n])) < 1e-12, n
+
+
+# token shapes the model feeds each fused op, per forecasting mode (B=3, C=4
+# auxiliaries, M+1=5 patch tokens, n_var=3 in m2m, D=8)
+MODE_TOKEN_SHAPES = {
+    "m2u": {"self": (3, 5, 8), "cross_q": (3, 1, 8), "cross_kv": (3, 4, 8)},
+    "m2m": {"self": (3, 3, 5, 8), "cross_q": (3, 3, 1, 8), "cross_kv": (3, 1, 4, 8)},
+    "u2u": {"self": (3, 1, 8), "cross_q": (3, 1, 8), "cross_kv": (3, 1, 8)},
+}
+
+
+def _attention_params(rng, d):
+    shapes = {f"w_{k}": (d, d) for k in "qkvo"}
+    shapes.update({f"b_{k}": (d,) for k in "qvo"})
+    return _params(rng, shapes, 1.0 / np.sqrt(d))
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_TOKEN_SHAPES))
+def test_fused_attention_matches_unfused(mode):
+    shapes = MODE_TOKEN_SHAPES[mode]
+    rng = np.random.default_rng(len(mode))
+    w = _attention_params(rng, 8)
+    bundle = AttentionWeights(**w)
+    tokens = _params(rng, {"x": shapes["self"], "q": shapes["cross_q"],
+                           "kv": shapes["cross_kv"]})
+    x, q, kv = tokens["x"], tokens["q"], tokens["kv"]
+    params = {**w, "x": x}
+    _assert_fused_matches_reference(
+        lambda: multi_head_attention(x, x, x, bundle, 2),
+        lambda: ref_attention(x, x, x, bundle, 2), params)
+    params = {**w, "q": q, "kv": kv}
+    _assert_fused_matches_reference(
+        lambda: multi_head_attention(q, kv, kv, bundle, 2),
+        lambda: ref_attention(q, kv, kv, bundle, 2), params)
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_TOKEN_SHAPES))
+def test_fused_ffn_linear_and_residual_layer_norm_match_unfused(mode):
+    shape = MODE_TOKEN_SHAPES[mode]["self"]
+    rng = np.random.default_rng(len(mode))
+    p = _params(rng, {"x": shape, "y": shape, "w1": (8, 16), "b1": (16,), "w2": (16, 8),
+                      "b2": (8,), "gain": (8,), "bias": (8,)}, 1.0 / np.sqrt(8))
+    f_w = FeedForwardWeights(p["w1"], p["b1"], p["w2"], p["b2"])
+    ln = LayerNormWeights(p["gain"], p["bias"])
+
+    def pick(*names):
+        return {n: p[n] for n in names}
+
+    _assert_fused_matches_reference(
+        lambda: linear(p["x"], p["w1"], p["b1"]),
+        lambda: ref_linear(p["x"], p["w1"], p["b1"]), pick("x", "w1", "b1"))
+    _assert_fused_matches_reference(
+        lambda: ffn(p["x"], f_w), lambda: ref_ffn(p["x"], f_w),
+        pick("x", "w1", "b1", "w2", "b2"))
+    _assert_fused_matches_reference(
+        lambda: residual_layer_norm(p["x"], p["y"], ln, 1e-5),
+        lambda: ref_residual_layer_norm(p["x"], p["y"], ln, 1e-5),
+        pick("x", "y", "gain", "bias"))

@@ -110,7 +110,7 @@ def _constant_view(values, T=4, S=2):
     series = np.asarray(values, dtype=np.float64).reshape(-1, 1)
     cfg = NodeShapeConfig(node_id=0, T=T, S=S, PL=2, var_ids=[0], target_id=0)
     starts = np.arange(series.shape[0] - T - S + 1)
-    return NodeDataView(0, series, starts, "test", cfg)
+    return NodeDataView(series, starts, "test", cfg)
 
 
 def test_persistence_on_constant_series_is_zero():
@@ -184,9 +184,7 @@ def test_perfect_predictions_give_zero_metrics(tmp_path):
     nodes, _ = _prepare(config, 0)
     node = nodes[0]
     view = node.views["test"]
-    constant = NodeDataView(
-        0, np.zeros_like(view.series), view.starts, "test", view.cfg
-    )
+    constant = NodeDataView(np.zeros_like(view.series), view.starts, "test", view.cfg)
     for p in node.model.params.values():
         p.data[...] = 0.0
     m = evaluate(node, constant)

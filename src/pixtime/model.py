@@ -19,7 +19,9 @@ model, laid out with the shared segment first.
 Cross-attention writes into the abstract token only; that content reaches
 the patch tokens through the next layer's self-attention, so auxiliary
 information influences the forecast when the decoder has at least two
-layers (the default harness configuration uses L=2).
+layers (the default harness configuration uses L=2). The projection reads
+only the patch tokens, so the last decoder layer has no cross-attention
+and queries with the patch rows alone.
 """
 
 import math
@@ -226,16 +228,20 @@ class PiXTime:
         self.decoder_layers = []
         for layer in range(dims.L):
             prefix = f"target_decoder.layer{layer}"
-            self.decoder_layers.append(
-                {
-                    "self_att": self._attention(f"{prefix}.self_att", rng),
-                    "ln1": self._layer_norm(f"{prefix}.ln1"),
-                    "cross_att": self._attention(f"{prefix}.cross_att", rng),
-                    "ln2": self._layer_norm(f"{prefix}.ln2"),
-                    "ffn": self._ffn(f"{prefix}.ffn", rng),
-                    "ln3": self._layer_norm(f"{prefix}.ln3"),
-                }
-            )
+            lp = {
+                "self_att": self._attention(f"{prefix}.self_att", rng),
+                "ln1": self._layer_norm(f"{prefix}.ln1"),
+            }
+            if layer < dims.L - 1:
+                lp["cross_att"] = self._attention(f"{prefix}.cross_att", rng)
+                lp["ln2"] = self._layer_norm(f"{prefix}.ln2")
+            else:
+                # the last layer has no cross-attention; discarding its 4 weight
+                # draws keeps every later initial value where it always was
+                rng.random((4, D, D))
+            lp["ffn"] = self._ffn(f"{prefix}.ffn", rng)
+            lp["ln3"] = self._layer_norm(f"{prefix}.ln3")
+            self.decoder_layers.append(lp)
 
         self.proj_w = self._param(
             "projection.weight", _xavier(rng, node.M * D, node.S)
@@ -310,31 +316,35 @@ class PiXTime:
         return x
 
     def decoder_layer(self, tokens: Tensor, v_aux: Tensor, layer: int) -> Tensor:
-        """One decoder layer on (..., M + 1, D) patch tokens.
+        """One decoder layer on (..., M + 1, D) tokens, abstract token in row 0.
 
         Self-attention runs over all M + 1 tokens; cross-attention uses
-        only the abstract token (row 0) as the query against the encoded
-        auxiliary tokens; the FFN then mixes the cross-attended abstract
-        token back into every row.
+        only the abstract token as the query against the encoded auxiliary
+        tokens; the FFN then mixes the cross-attended abstract token back
+        into every row. The last layer computes only what the projection
+        reads: it has no cross-attention, queries with the M patch rows
+        alone (the abstract token still serves as a key and value) and
+        returns (..., M, D).
         """
         lp = self.decoder_layers[layer]
         H = self.dims.H
         n_tokens = tokens.shape[-2]
+        last = layer == self.dims.L - 1
 
-        att = ad.multi_head_attention(tokens, tokens, tokens, lp["self_att"], H)
-        t1 = ad.residual_layer_norm(tokens, att, lp["ln1"], LN_EPS)
+        queries = ad.slice_axis(tokens, -2, 1, n_tokens) if last else tokens
+        att = ad.multi_head_attention(queries, tokens, tokens, lp["self_att"], H)
+        t = ad.residual_layer_norm(queries, att, lp["ln1"], LN_EPS)
 
-        head = ad.slice_axis(t1, -2, 0, 1)
-        cross = ad.multi_head_attention(head, v_aux, v_aux, lp["cross_att"], H)
-        head = ad.residual_layer_norm(head, cross, lp["ln2"], LN_EPS)
-
-        t2 = ad.concat([head, ad.slice_axis(t1, -2, 1, n_tokens)], axis=-2)
-        return ad.residual_layer_norm(t2, ad.ffn(t2, lp["ffn"]), lp["ln3"], LN_EPS)
+        if not last:
+            head = ad.slice_axis(t, -2, 0, 1)
+            cross = ad.multi_head_attention(head, v_aux, v_aux, lp["cross_att"], H)
+            head = ad.residual_layer_norm(head, cross, lp["ln2"], LN_EPS)
+            t = ad.concat([head, ad.slice_axis(t, -2, 1, n_tokens)], axis=-2)
+        return ad.residual_layer_norm(t, ad.ffn(t, lp["ffn"]), lp["ln3"], LN_EPS)
 
     def projection(self, tokens: Tensor) -> Tensor:
-        """Flatten the M patch tokens (abstract token dropped) to length S."""
-        patches = ad.slice_axis(tokens, -2, 1, tokens.shape[-2])
-        flat = ad.reshape(patches, patches.shape[:-2] + (self.node.M * self.dims.D,))
+        """Flatten (..., M, D) patch tokens, the last decoder layer's output, to length S."""
+        flat = ad.reshape(tokens, tokens.shape[:-2] + (self.node.M * self.dims.D,))
         return ad.linear(flat, self.proj_w, self.proj_b)
 
     def forward(self, x, Z, var_ids=None) -> Tensor:

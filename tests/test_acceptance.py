@@ -127,7 +127,7 @@ def _loop_projection(tokens, W, b, M, D, S):
         acc = 0.0
         for i in range(M):
             for d in range(D):
-                acc += tokens[1 + i, d] * W[i * D + d, s]
+                acc += tokens[i, d] * W[i * D + d, s]
         out[s] = acc + b[s]
     return out
 
@@ -165,7 +165,7 @@ def test_criterion_02_primitive_oracles():
             ffn(Tensor(q), f_bundle).data - _loop_ffn(q, w1, b1, w2, b2))))
 
         model = PiXTime(TINY_DIMS, TINY_NODE, seed=seed)
-        tokens = rng.standard_normal((3, 8))
+        tokens = rng.standard_normal((2, 8))
         expected = _loop_projection(
             tokens, model.proj_w.data, model.proj_b.data, 2, 8, 4
         )

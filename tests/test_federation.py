@@ -79,8 +79,10 @@ def test_partition_counting_check():
     # q/v/o biases, an ffn 4 tensors, a layer norm 2
     att, ffn_n, ln = 7, 4, 2
     per_encoder_layer = att + ffn_n + 2 * ln
-    per_decoder_layer = 2 * att + ffn_n + 3 * ln
-    expected = 1 + DIMS.L * per_encoder_layer + DIMS.L * per_decoder_layer
+    per_decoder_layer = att + ffn_n + 2 * ln
+    cross_block = att + ln  # cross-attention + ln2, absent from the last layer
+    expected = (1 + DIMS.L * per_encoder_layer + DIMS.L * per_decoder_layer
+                + (DIMS.L - 1) * cross_block)
     assert len(shared) == expected
 
 

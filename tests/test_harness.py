@@ -1,5 +1,6 @@
 """Config validation, metrics, experiment artifacts, CLI behavior."""
 
+import csv
 import json
 import re
 from pathlib import Path
@@ -312,6 +313,18 @@ def test_cli_train_fed_exits_zero(tmp_path, capsys):
     assert cli_main(["train-fed", "--config", str(path)]) == 0
     out = capsys.readouterr().out
     assert "average" in out
+
+
+def test_train_fed_logs_a_nonzero_update_norm_for_every_shared_parameter(tmp_path):
+    path = _write_config(tmp_path, L=2, rounds=2)
+    assert cli_main(["train-fed", "--config", str(path)]) == 0
+    with open(tmp_path / "out" / "rounds.csv", newline="") as f:
+        server_rows = [row for row in csv.DictReader(f) if row["kind"] == "server"]
+    assert len(server_rows) == 2
+    for row in server_rows:
+        norms = dict(pair.split("=") for pair in row["detail"].split(";"))
+        zero = sorted(name for name, value in norms.items() if float(value) == 0.0)
+        assert norms and not zero, (row["round"], zero)
 
 
 def test_cli_rejects_invalid_config_with_exit_2(tmp_path, capsys):

@@ -221,7 +221,9 @@ def test_aux_encoder_matches_staged_oracle():
 # ---------------------------------------------------------------------------
 
 def test_decoder_layer_cross_attention_touches_only_row0():
-    model = tiny_model(seed=8)
+    dims = ModelDims(D=8, L=2, H=2, d_ff=16, n_all=4)
+    cfg = NodeShapeConfig(node_id=0, T=8, S=4, PL=4, var_ids=[1, 2], target_id=0)
+    model = PiXTime(dims, cfg, seed=8)
     rng = np.random.default_rng(8)
     tokens = Tensor(rng.standard_normal((3, 8)))
     v1 = Tensor(rng.standard_normal((2, 8)))
@@ -237,7 +239,7 @@ def test_decoder_layer_single_auxiliary_weight_is_one():
     # C=1: the cross-attention softmax collapses to weight exactly 1, so
     # swapping in any other single token with equal projected value set
     # is equivalent to attending to that token alone
-    dims = ModelDims(D=4, L=1, H=1, d_ff=6, n_all=3)
+    dims = ModelDims(D=4, L=2, H=1, d_ff=6, n_all=3)
     cfg = NodeShapeConfig(node_id=0, T=4, S=2, PL=2, var_ids=[1], target_id=0)
     model = PiXTime(dims, cfg, seed=9)
     p = np_values(model)
@@ -263,7 +265,7 @@ def test_decoder_layer_single_auxiliary_weight_is_one():
 
 
 def test_decoder_layer_matches_three_stage_oracle():
-    dims = ModelDims(D=4, L=1, H=1, d_ff=6, n_all=3)
+    dims = ModelDims(D=4, L=2, H=1, d_ff=6, n_all=3)
     cfg = NodeShapeConfig(node_id=0, T=4, S=2, PL=2, var_ids=[1, 2], target_id=0)
     model = PiXTime(dims, cfg, seed=10)
     p = np_values(model)
@@ -286,6 +288,62 @@ def test_decoder_layer_matches_three_stage_oracle():
     assert np.max(np.abs(out - expected)) < 1e-10
 
 
+def test_last_decoder_layer_matches_staged_oracle():
+    # patch rows query; all M + 1 rows, abstract token included, are keys and values
+    dims = ModelDims(D=4, L=2, H=2, d_ff=6, n_all=3)
+    cfg = NodeShapeConfig(node_id=0, T=4, S=2, PL=2, var_ids=[1, 2], target_id=0)
+    model = PiXTime(dims, cfg, seed=29)
+    p = np_values(model)
+    rng = np.random.default_rng(29)
+    tokens = rng.standard_normal((3, 4))
+    v = rng.standard_normal((2, 4))
+
+    prefix = "target_decoder.layer1"
+    att = np_attention(tokens[1:], tokens, tokens, p, f"{prefix}.self_att", 2)
+    t1 = np_layer_norm(tokens[1:] + att, p[f"{prefix}.ln1.gain"], p[f"{prefix}.ln1.bias"])
+    expected = np_layer_norm(
+        t1 + np_ffn(t1, p, f"{prefix}.ffn"), p[f"{prefix}.ln3.gain"], p[f"{prefix}.ln3.bias"]
+    )
+    out = model.decoder_layer(Tensor(tokens), Tensor(v), 1).data
+    assert out.shape == (2, 4)
+    assert np.max(np.abs(out - expected)) < 1e-10
+
+
+def np_full_last_layer(tokens, v, p, prefix, cross, n_heads):
+    """The last decoder layer as it was with cross-attention and ln2, abstract row dropped."""
+    att = np_attention(tokens, tokens, tokens, p, f"{prefix}.self_att", n_heads)
+    t1 = np_layer_norm(tokens + att, p[f"{prefix}.ln1.gain"], p[f"{prefix}.ln1.bias"])
+    head = np_layer_norm(t1[0:1] + np_attention(t1[0:1], v, v, cross, "cross_att", n_heads),
+                         cross["ln2.gain"], cross["ln2.bias"])
+    t2 = np.concatenate([head, t1[1:]], axis=0)
+    out = np_layer_norm(t2 + np_ffn(t2, p, f"{prefix}.ffn"),
+                        p[f"{prefix}.ln3.gain"], p[f"{prefix}.ln3.bias"])
+    return out[1:]
+
+
+def test_last_decoder_layer_equals_full_layer_for_any_cross_attention():
+    # the removed cross-attention and ln2 only ever wrote the abstract row,
+    # which the projection drops: any weights for them give the same output
+    dims = ModelDims(D=8, L=2, H=2, d_ff=16, n_all=4)
+    cfg = NodeShapeConfig(node_id=0, T=8, S=4, PL=4, var_ids=[1, 2], target_id=0)
+    model = PiXTime(dims, cfg, seed=30)
+    assert not any(name.startswith(("target_decoder.layer1.cross_att",
+                                    "target_decoder.layer1.ln2")) for name in model.params)
+    p = np_values(model)
+    rng = np.random.default_rng(30)
+    tokens = rng.standard_normal((3, 8))
+    v = rng.standard_normal((2, 8))
+    out = model.decoder_layer(Tensor(tokens), Tensor(v), 1).data
+
+    for draw in (31, 32):
+        r = np.random.default_rng(draw)
+        cross = {f"cross_att.{k}": r.standard_normal((8, 8)) for k in ("w_q", "w_k", "w_v", "w_o")}
+        cross.update({f"cross_att.{k}": r.standard_normal(8) for k in ("b_q", "b_v", "b_o")})
+        cross.update({"ln2.gain": r.standard_normal(8), "ln2.bias": r.standard_normal(8)})
+        expected = np_full_last_layer(tokens, v, p, "target_decoder.layer1", cross, 2)
+        assert np.max(np.abs(out - expected)) < 1e-12, draw
+
+
 # ---------------------------------------------------------------------------
 # projection
 # ---------------------------------------------------------------------------
@@ -295,19 +353,20 @@ def test_projection_zero_weight_returns_bias():
     model.proj_w.data[...] = 0.0
     b = np.array([1.0, -2.0, 3.0, 0.5])
     model.proj_b.data[...] = b
-    out = model.projection(Tensor(np.random.default_rng(11).standard_normal((3, 8))))
+    out = model.projection(Tensor(np.random.default_rng(11).standard_normal((2, 8))))
     assert np.array_equal(out.data, b)
 
 
 def test_projection_ignores_abstract_token_row():
+    # the last decoder layer returns the M patch rows alone, so the
+    # abstract-token row never reaches the projection
     model = tiny_model(seed=12)
     rng = np.random.default_rng(12)
-    tokens = rng.standard_normal((3, 8))
-    modified = tokens.copy()
-    modified[0] = rng.standard_normal(8)
-    a = model.projection(Tensor(tokens)).data
-    b = model.projection(Tensor(modified)).data
-    assert np.array_equal(a, b)
+    x, Z = rng.standard_normal(8), rng.standard_normal((8, 2))
+    v_enc = model.aux_encoder(model.variable_embed(Z))
+    tokens = model.decoder_layer(model.patch_embed(x), v_enc, model.dims.L - 1)
+    assert tokens.shape == (2, 8)
+    assert np.array_equal(model.projection(tokens).data, model.forward(x, Z).data)
 
 
 def test_projection_hand_case():
@@ -319,9 +378,9 @@ def test_projection_hand_case():
     b = rng.standard_normal(3)
     model.proj_w.data[...] = W
     model.proj_b.data[...] = b
-    tokens = rng.standard_normal((3, 2))
+    tokens = rng.standard_normal((2, 2))
     out = model.projection(Tensor(tokens)).data
-    expected = tokens[1:].reshape(-1) @ W + b
+    expected = tokens.reshape(-1) @ W + b
     assert np.max(np.abs(out - expected)) < 1e-14
 
 
@@ -463,6 +522,37 @@ def test_u2u_gradients_match_finite_differences():
     x, y = rng.standard_normal(8), rng.standard_normal(4)
     report = grad_check(lambda: mse(model.u2u_forward(x), y), model.parameters(), h=1e-5)
     assert report.max_rel_error < 1e-4, str(report)
+
+
+# u2u has one variable token, so each encoder self-attention and the
+# cross-attention see a single key: the softmax is constant and these
+# query/key weights get an exactly-zero gradient by the math
+U2U_ZERO_GRADIENT = frozenset(
+    f"{block}.{name}"
+    for block in ("aux_encoder.layer0.self_att", "aux_encoder.layer1.self_att",
+                  "target_decoder.layer0.cross_att")
+    for name in ("w_q", "b_q", "w_k")
+)
+
+
+def test_every_live_parameter_gets_a_gradient():
+    dims = ModelDims(D=32, L=2, H=4, d_ff=64, n_all=8)
+    cfg = NodeShapeConfig(node_id=0, T=96, S=24, PL=16, var_ids=list(range(1, 8)), target_id=0)
+    model = PiXTime(dims, cfg, seed=33)
+    rng = np.random.default_rng(33)
+    series = rng.standard_normal((32, 96, 8))
+    x, Z = series[..., 0], series[..., 1:]
+    runs = {
+        "m2u": (lambda: model.forward(x, Z), rng.standard_normal((32, 24)), frozenset()),
+        "m2m": (lambda: model.m2m_forward(series), rng.standard_normal((32, 8, 24)),
+                frozenset()),
+        "u2u": (lambda: model.u2u_forward(x), rng.standard_normal((32, 24)), U2U_ZERO_GRADIENT),
+    }
+    for mode, (run, y, exempt) in runs.items():
+        model.grads[...] = 0.0
+        backward(mse(run(), y))
+        zero = {name for name, p in model.params.items() if not p.grad.any()}
+        assert zero == exempt, (mode, sorted(zero ^ exempt))
 
 
 # ---------------------------------------------------------------------------

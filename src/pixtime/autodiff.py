@@ -9,9 +9,18 @@ backward: `linear`, `multi_head_attention`, `ffn` and
 and VJP kernel per formula. Values are float64 throughout and immutable
 once created; a non-finite result raises instead of propagating
 silently, saying whether the operation or its inputs were at fault.
+
+The rows the kernels reduce are short (1 to 64 elements), and numpy
+pays one inner-loop call per row for a reduction along the last axis.
+So no kernel reduces along a short last axis: row sums and means are
+GEMVs against a ones (or 1/n) vector, and softmax reduces along the
+leading axis of a score block stored key-leading. No score GEMM takes a
+transposed view either: the transposed keys and values are copied
+C-contiguous first.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -111,14 +120,28 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named leaf tensor with a persistent gradient accumulator."""
+    """A named leaf tensor with a persistent gradient accumulator.
 
-    __slots__ = ("name",)
+    The accumulator starts at zero. It is allocated on first read, so a
+    model that binds `grad` to a view of its gradient vector before any
+    read never allocates one.
+    """
+
+    __slots__ = ("name", "_grad")
 
     def __init__(self, name: str, value):
         super().__init__(value, requires_grad=True)
         self.name = name
-        self.grad = np.zeros_like(self.data)
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        self._grad = value
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
@@ -200,10 +223,11 @@ def backward(loss: Tensor) -> None:
         else:
             # leaf: accumulate in place, so a gradient that is a view of a
             # model's gradient vector stays one
-            if node.grad is None:
+            grad = node.grad
+            if grad is None:
                 node.grad = g.copy()
             else:
-                node.grad += g
+                grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +391,19 @@ def gather_rows(table: Tensor, ids) -> Tensor:
 # primitives and the fused operations below
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _filled(n: int, value: float) -> np.ndarray:
+    """A read-only length-n vector of `value`, the GEMV operand of a sum or a mean."""
+    v = np.full(n, value)
+    v.flags.writeable = False
+    return v
+
+
 def _gelu_fwd(x: np.ndarray) -> tuple:
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    cdf = x * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     return x * cdf, cdf
 
 
@@ -377,14 +412,36 @@ def _gelu_vjp(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return g * (cdf + x * pdf)
 
 
-def _softmax_fwd(x: np.ndarray, axis: int) -> np.ndarray:
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+def _softmax_fwd(e: np.ndarray) -> np.ndarray:
+    """Softmax along the leading axis of the C-contiguous `e`, in place; returns `e`."""
+    e -= e.max(axis=0)
+    np.exp(e, out=e)
+    e /= e.sum(axis=0)
+    return e
 
 
-def _softmax_vjp(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
-    inner = (g * y).sum(axis=axis, keepdims=True)
-    return y * (g - inner)
+def _softmax_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Softmax VJP along the leading axis of `_softmax_fwd`'s result `y`.
+
+    Returns a new C-contiguous array; `g` may have any layout.
+    """
+    d = np.multiply(g, y, order="C")
+    inner = d.sum(axis=0)
+    np.subtract(g, inner, out=d)
+    d *= y
+    return d
+
+
+def _key_leading_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b stored C-contiguous with its last axis leading: (m, ..., n).
+
+    Attention keeps its score blocks this way, so the softmax reductions
+    over the key axis run along the leading axis.
+    """
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    out = np.empty((b.shape[-1],) + lead + (a.shape[-2],))
+    np.matmul(a, b, out=np.moveaxis(out, 0, -1))
+    return out
 
 
 def _check_layer_norm(n: int, gain: Tensor, bias: Tensor, eps: float) -> None:
@@ -397,23 +454,39 @@ def _check_layer_norm(n: int, gain: Tensor, bias: Tensor, eps: float) -> None:
 
 
 def _layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float) -> tuple:
-    """Returns (output, xhat, inv_std); the last two are what the VJP needs."""
-    centered = x - x.mean(axis=-1, keepdims=True)
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    return gain * xhat + bias, xhat, inv_std
+    """Returns (output, xhat, inv_std); the last two are what the VJP needs.
+
+    The row means are GEMVs over the (rows, n) view of `x`; `xhat` is
+    (rows, n) and `inv_std` (rows, 1).
+    """
+    n = x.shape[-1]
+    x2 = x.reshape(-1, n)
+    mean = _filled(n, 1.0 / n)
+    xhat = x2 - (x2 @ mean)[:, None]
+    var = (xhat * xhat) @ mean
+    inv_std = 1.0 / np.sqrt(var + eps)[:, None]
+    xhat *= inv_std
+    out = xhat * gain
+    out += bias
+    return out.reshape(x.shape), xhat, inv_std
 
 
 def _layer_norm_vjp(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
                     gain: np.ndarray) -> tuple:
-    lead = tuple(range(g.ndim - 1))
-    g_gain = (g * xhat).sum(axis=lead)
-    g_bias = g.sum(axis=lead)
-    gx = g * gain
-    gx_mean = gx.mean(axis=-1, keepdims=True)
-    gxx_mean = (gx * xhat).mean(axis=-1, keepdims=True)
-    return inv_std * (gx - gx_mean - xhat * gxx_mean), g_gain, g_bias
+    n = gain.shape[0]
+    g2 = g.reshape(-1, n)
+    ones, mean = _filled(g2.shape[0], 1.0), _filled(n, 1.0 / n)
+    g_gain = ones @ (g2 * xhat)
+    g_bias = ones @ g2
+    gx = g2 * gain
+    gx_mean = gx @ mean
+    t = gx * xhat
+    gxx_mean = t @ mean
+    np.multiply(xhat, gxx_mean[:, None], out=t)
+    gx -= gx_mean[:, None]
+    gx -= t
+    gx *= inv_std
+    return gx.reshape(g.shape), g_gain, g_bias
 
 
 def _check_linear(x_shape: tuple, weight: Tensor, bias) -> None:
@@ -436,7 +509,12 @@ def _linear_vjp(g: np.ndarray, x2: np.ndarray, w: np.ndarray, x_shape) -> tuple:
     """(input, weight, bias) gradients; the input one is None when `x_shape` is."""
     g2 = g.reshape(-1, w.shape[1])
     gx = None if x_shape is None else (g2 @ w.T).reshape(x_shape)
-    return gx, x2.T @ g2, g2.sum(axis=0)
+    return gx, x2.T @ g2, _filled(g2.shape[0], 1.0) @ g2
+
+
+def _transposed(t: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of `t` with its last two axes swapped."""
+    return np.ascontiguousarray(np.swapaxes(t, -1, -2))
 
 
 def _grad_shape(t: Tensor):
@@ -464,12 +542,12 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     x = as_tensor(x)
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"softmax axis {axis} out of range for shape {x.shape}")
-    y = _softmax_fwd(x.data, axis)
+    y = _softmax_fwd(np.moveaxis(x.data, axis, 0).copy())
 
     def vjp(g):
-        return (_softmax_vjp(g, y, axis),)
+        return (np.moveaxis(_softmax_vjp(np.moveaxis(g, axis, 0), y), 0, axis),)
 
-    return _result(y, (x,), vjp, "softmax")
+    return _result(np.moveaxis(y, 0, axis), (x,), vjp, "softmax")
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -598,17 +676,21 @@ def multi_head_attention(
     k2, k = _linear_fwd(k_tokens.data, w.w_k.data, None)
     v2, v = _linear_fwd(v_tokens.data, w.w_v.data, w.b_v.data)
     q, k, v = split(q), split(k), split(v)
-    attn = _softmax_fwd((q @ np.swapaxes(k, -1, -2)) * c, -1)
-    ctx = merge(attn @ v)
+    # the score block is stored key-leading, (m, ..., H, n)
+    attn = _key_leading_matmul(q, _transposed(k))
+    attn *= c
+    _softmax_fwd(attn)
+    ctx = merge(np.moveaxis(attn, 0, -1) @ v)
     ctx2, data = _linear_fwd(ctx, w.w_o.data, w.b_o.data)
 
     def vjp(g):
         g_ctx, g_wo, g_bo = _linear_vjp(g, ctx2, w.w_o.data, ctx.shape)
         g_ctx = split(g_ctx)
-        g_v = _unbroadcast(np.swapaxes(attn, -1, -2) @ g_ctx, v.shape)
-        g_s = _softmax_vjp(g_ctx @ np.swapaxes(v, -1, -2), attn, -1) * c
-        g_q = _unbroadcast(g_s @ k, q.shape)
-        g_k = _unbroadcast(np.swapaxes(g_s, -1, -2) @ q, k.shape)
+        g_v = _unbroadcast(np.moveaxis(attn, 0, -2) @ g_ctx, v.shape)
+        g_s = _softmax_vjp(_key_leading_matmul(g_ctx, _transposed(v)), attn)
+        g_s *= c
+        g_q = _unbroadcast(np.moveaxis(g_s, 0, -1) @ k, q.shape)
+        g_k = _unbroadcast(np.moveaxis(g_s, 0, -2) @ q, k.shape)
         g_qt, g_wq, g_bq = _linear_vjp(merge(g_q), q2, w.w_q.data, _grad_shape(q_tokens))
         g_kt, g_wk, _ = _linear_vjp(merge(g_k), k2, w.w_k.data, _grad_shape(k_tokens))
         g_vt, g_wv, g_bv = _linear_vjp(merge(g_v), v2, w.w_v.data, _grad_shape(v_tokens))

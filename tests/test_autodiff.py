@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from pixtime import (
     AttentionWeights,
@@ -25,6 +26,7 @@ from pixtime import (
     slice_axis,
     softmax,
 )
+from pixtime import autodiff as ad
 from pixtime.autodiff import add, broadcast_to, scale, swapaxes
 from pixtime.errors import ConfigError, NumericError, ShapeError, TapeError
 
@@ -679,3 +681,252 @@ def test_fused_ffn_linear_and_residual_layer_norm_match_unfused(mode):
         lambda: residual_layer_norm(p["x"], p["y"], ln, 1e-5),
         lambda: ref_residual_layer_norm(p["x"], p["y"], ln, 1e-5),
         pick("x", "y", "gain", "bias"))
+
+
+# ---------------------------------------------------------------------------
+# the numpy kernels at the shapes the model feeds them, against the direct
+# last-axis formulas they replaced
+# ---------------------------------------------------------------------------
+
+def direct_softmax(x, axis):
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def direct_softmax_vjp(g, y, axis):
+    return y * (g - (g * y).sum(axis=axis, keepdims=True))
+
+
+def direct_layer_norm(x, gain, bias, eps):
+    """(output, input gradient as a function of g, gain gradient, bias gradient)."""
+    centered = x - x.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv_std
+
+    def vjp(g):
+        lead = tuple(range(g.ndim - 1))
+        gx = g * gain
+        gx_mean = gx.mean(axis=-1, keepdims=True)
+        gxx_mean = (gx * xhat).mean(axis=-1, keepdims=True)
+        return (inv_std * (gx - gx_mean - xhat * gxx_mean),
+                (g * xhat).sum(axis=lead), g.sum(axis=lead))
+
+    return gain * xhat + bias, vjp
+
+
+def direct_attention(q_tokens, k_tokens, v_tokens, w, n_heads):
+    """Batched attention with the scores on the last axis; returns (output, vjp)."""
+    d = q_tokens.shape[-1]
+    hd = d // n_heads
+
+    def split(t):
+        return np.swapaxes(t.reshape(t.shape[:-1] + (n_heads, hd)), -3, -2)
+
+    def merge(t):
+        t = np.swapaxes(t, -3, -2)
+        return t.reshape(t.shape[:-2] + (d,))
+
+    def unbroadcast(g, shape):
+        g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+        return g.sum(axis=tuple(i for i, s in enumerate(shape) if s == 1), keepdims=True)
+
+    def grads(g, x, w_x):
+        g2, x2 = g.reshape(-1, d), x.reshape(-1, d)
+        return (g2 @ w_x.T).reshape(x.shape), x2.T @ g2, g2.sum(axis=0)
+
+    q = split(q_tokens @ w["w_q"] + w["b_q"])
+    k = split(k_tokens @ w["w_k"])
+    v = split(v_tokens @ w["w_v"] + w["b_v"])
+    attn = direct_softmax((q @ np.swapaxes(k, -1, -2)) / np.sqrt(hd), -1)
+    ctx = merge(attn @ v)
+
+    def vjp(g):
+        g_ctx, g_wo, g_bo = grads(g, ctx, w["w_o"])
+        g_ctx = split(g_ctx)
+        g_v = unbroadcast(np.swapaxes(attn, -1, -2) @ g_ctx, v.shape)
+        g_s = direct_softmax_vjp(g_ctx @ np.swapaxes(v, -1, -2), attn, -1) / np.sqrt(hd)
+        g_q = unbroadcast(g_s @ k, q.shape)
+        g_k = unbroadcast(np.swapaxes(g_s, -1, -2) @ q, k.shape)
+        g_qt, g_wq, g_bq = grads(merge(g_q), q_tokens, w["w_q"])
+        g_kt, g_wk, _ = grads(merge(g_k), k_tokens, w["w_k"])
+        g_vt, g_wv, g_bv = grads(merge(g_v), v_tokens, w["w_v"])
+        return {"q": g_qt, "k": g_kt, "v": g_vt, "w_q": g_wq, "b_q": g_bq, "w_k": g_wk,
+                "w_v": g_wv, "b_v": g_bv, "w_o": g_wo, "b_o": g_bo}
+
+    return ctx @ w["w_o"] + w["b_o"], vjp
+
+
+def assert_rel_close(actual, expected, rtol=1e-13):
+    """Agreement within `rtol` of the expected array's largest magnitude."""
+    assert actual.shape == expected.shape
+    assert np.max(np.abs(actual - expected)) <= rtol * np.max(np.abs(expected))
+
+
+def backward_with(out, g):
+    """Run backward so that `out` receives the adjoint `g` exactly."""
+    backward(matmul(reshape(out, (1, out.size)), Tensor(g.reshape(-1, 1))))
+
+
+def non_contiguous(kind, x):
+    """`x`'s values as a swapaxes view or a strided slice; "fresh" keeps `x`."""
+    if kind == "swapaxes":
+        return np.swapaxes(np.swapaxes(x, 0, 1).copy(), 0, 1)
+    if kind == "strided":
+        wide = np.zeros(x.shape[:-1] + (2 * x.shape[-1],))
+        wide[..., ::2] = x
+        return wide[..., ::2]
+    return x
+
+
+# (shape, axis): the m2u score block (32, H=4, 7, 7), m2m cross-attention
+# (B, n_var, H, 1, C), u2u's single key, a long axis, and each axis of a 3-d array
+SOFTMAX_CASES = [((32, 4, 7, 7), -1), ((4, 3, 4, 1, 7), -1), ((32, 4, 7, 1), -1),
+                 ((5, 33), -1), ((6, 5, 7), 0), ((6, 5, 7), 1), ((6, 5, 7), -1)]
+
+
+@pytest.mark.parametrize("layout", ["fresh", "swapaxes", "strided"])
+@pytest.mark.parametrize("shape,axis", SOFTMAX_CASES)
+def test_softmax_kernel_matches_direct_formula(shape, axis, layout):
+    rng = np.random.default_rng(len(shape) + axis)
+    x = rng.standard_normal(shape) * 3
+    g = rng.standard_normal(shape)
+    p = Parameter("x", non_contiguous(layout, x))
+    y = softmax(p, axis=axis)
+    expected = direct_softmax(x, axis)
+    assert_rel_close(y.data, expected)
+    backward_with(y, non_contiguous(layout, g))
+    assert_rel_close(p.grad, direct_softmax_vjp(g, expected, axis))
+
+
+def test_softmax_single_key_is_exactly_one():
+    x = np.random.default_rng(0).standard_normal((32, 4, 7, 1)) * 50
+    assert np.array_equal(softmax(Tensor(x), axis=-1).data, np.ones(x.shape))
+
+
+def test_softmax_logits_spanning_1400_stay_finite():
+    x = np.array([[0.0, 1400.0, 700.0], [-1400.0, 0.0, -700.0]])
+    p = Parameter("x", x)
+    y = softmax(p, axis=-1)
+    assert np.all(np.isfinite(y.data))
+    assert_rel_close(y.data, direct_softmax(x, -1))
+    backward_with(y, np.ones_like(x))
+    assert np.all(np.isfinite(p.grad))
+
+
+# the m2u and m2m token blocks at D=32, a long axis, a single row; each in
+# every layout it can take
+LAYER_NORM_CASES = [(shape, layout) for shape in [(32, 7, 32), (4, 3, 7, 32), (5, 33)]
+                    for layout in ("fresh", "swapaxes", "strided")]
+LAYER_NORM_CASES += [((33,), "fresh"), ((33,), "strided")]
+
+
+@pytest.mark.parametrize("shape,layout", LAYER_NORM_CASES)
+def test_layer_norm_kernels_match_direct_formula(shape, layout):
+    rng = np.random.default_rng(len(shape))
+    n = shape[-1]
+    x, y, g = (rng.standard_normal(shape) * 2 + 1 for _ in range(3))
+    ln = LayerNormWeights(Parameter("gain", rng.standard_normal(n)),
+                          Parameter("bias", rng.standard_normal(n)))
+    expected, vjp = direct_layer_norm(x + y, ln.gain.data, ln.bias.data, 1e-5)
+    expected_grads = vjp(g)
+    px = Parameter("x", non_contiguous(layout, x))
+    py = Parameter("y", non_contiguous(layout, y))
+    for out in (layer_norm(add(px, py), ln.gain, ln.bias, 1e-5),
+                residual_layer_norm(px, py, ln, 1e-5)):
+        for p in (px, py, ln.gain, ln.bias):
+            p.zero_grad()
+        assert_rel_close(out.data, expected)
+        backward_with(out, non_contiguous(layout, g))
+        for actual, direct in zip((px.grad, ln.gain.grad, ln.bias.grad), expected_grads):
+            assert_rel_close(actual, direct)
+        assert np.array_equal(px.grad, py.grad)
+
+
+@pytest.mark.parametrize("x_shape", [(32, 7, 32), (32, 24), (3,)])
+def test_linear_gradients_match_direct_formula(x_shape):
+    rng = np.random.default_rng(len(x_shape))
+    x = Parameter("x", rng.standard_normal(x_shape))
+    w = Parameter("w", rng.standard_normal((x_shape[-1], 5)))
+    b = Parameter("b", rng.standard_normal(5))
+    out = linear(x, w, b)
+    g = rng.standard_normal(out.shape)
+    backward_with(out, g)
+    g2, x2 = g.reshape(-1, 5), x.data.reshape(-1, x_shape[-1])
+    assert_rel_close(b.grad, g2.sum(axis=0))
+    assert_rel_close(w.grad, x2.T @ g2)
+    assert_rel_close(x.grad, g @ w.data.T)
+
+
+def test_gelu_matches_direct_formula_bit_for_bit():
+    x = np.random.default_rng(0).standard_normal((32, 7, 64)) * 3
+    assert np.array_equal(gelu(Tensor(x)).data, x * (0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))))
+
+
+# (query, key/value) token shapes at D=32, H=4: m2u self-attention, m2m
+# cross-attention (B, n_var, 1, D) against shared (B, 1, C, D) keys, and u2u
+ATTENTION_MODEL_SHAPES = {
+    "m2u": ((32, 7, 32), (32, 7, 32)),
+    "m2m": ((4, 3, 1, 32), (4, 1, 7, 32)),
+    "u2u": ((32, 1, 32), (32, 1, 32)),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(ATTENTION_MODEL_SHAPES))
+def test_attention_matches_direct_formula_at_model_shapes(mode):
+    q_shape, kv_shape = ATTENTION_MODEL_SHAPES[mode]
+    rng = np.random.default_rng(len(mode))
+    w = _attention_params(rng, 32)
+    q = Parameter("q", rng.standard_normal(q_shape))
+    k = Parameter("k", rng.standard_normal(kv_shape))
+    v = Parameter("v", rng.standard_normal(kv_shape))
+    out = multi_head_attention(q, k, v, AttentionWeights(**w), 4)
+    expected, vjp = direct_attention(q.data, k.data, v.data,
+                                     {n: p.data for n, p in w.items()}, 4)
+    assert_rel_close(out.data, expected)
+    g = rng.standard_normal(out.shape)
+    backward_with(out, g)
+    params = {**w, "q": q, "k": k, "v": v}
+    for name, direct in vjp(g).items():
+        assert_rel_close(params[name].grad, direct)
+
+
+def _at_offset(a, words):
+    """`a`'s values in a larger buffer, starting `words` float64 slots in."""
+    buf = np.zeros(a.size + words + 1)
+    out = buf[words:words + a.size].reshape(a.shape)
+    out[...] = a
+    return out
+
+
+# each rewritten kernel as a function of its array inputs, with the input
+# shapes the model feeds it
+KERNEL_CALLS = {
+    "softmax_fwd": (ad._softmax_fwd, [(7, 32, 4, 7)]),
+    "softmax_vjp": (ad._softmax_vjp, [(7, 32, 4, 7), (7, 32, 4, 7)]),
+    "layer_norm_fwd": (lambda x, gain, bias: ad._layer_norm_fwd(x, gain, bias, 1e-5),
+                       [(32, 7, 32), (32,), (32,)]),
+    "layer_norm_fwd_long_rows": (lambda x, gain, bias: ad._layer_norm_fwd(x, gain, bias, 1e-5),
+                                 [(1792, 33), (33,), (33,)]),
+    "layer_norm_vjp": (ad._layer_norm_vjp, [(32, 7, 32), (224, 32), (224, 1), (32,)]),
+    "linear_vjp": (lambda g, x2, w: ad._linear_vjp(g, x2, w, x2.shape),
+                   [(224, 32), (224, 32), (32, 32)]),
+    "gelu_fwd": (ad._gelu_fwd, [(32, 7, 64)]),
+    "score_matmul": (lambda a, b: ad._key_leading_matmul(a, ad._transposed(b)),
+                     [(32, 4, 7, 8), (32, 4, 7, 8)]),
+}
+
+
+@pytest.mark.parametrize("words", [1, 2, 3])
+@pytest.mark.parametrize("kernel", sorted(KERNEL_CALLS))
+def test_kernel_result_does_not_depend_on_input_address(kernel, words):
+    """Bit-identical output for fresh inputs and for the same values at an offset."""
+    call, shapes = KERNEL_CALLS[kernel]
+    rng = np.random.default_rng(words)
+    inputs = [np.abs(rng.standard_normal(s)) + 0.5 for s in shapes]
+    fresh = call(*[a.copy() for a in inputs])
+    shifted = call(*[_at_offset(a, words) for a in inputs])
+    fresh = fresh if isinstance(fresh, tuple) else (fresh,)
+    shifted = shifted if isinstance(shifted, tuple) else (shifted,)
+    for a, b in zip(fresh, shifted):
+        assert np.array_equal(a, b)

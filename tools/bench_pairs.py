@@ -11,7 +11,16 @@ workload and each metric that `BENCHMARK.json` names, the output holds each
 side's median and quartiles, the change/parent ratio of the medians, the
 pairs the change won (ties count for neither side) and whether the gain rule
 holds: the change wins at least nine tenths of the pairs and the medians
-differ by more than the parent's quartile spread.
+differ by more than the parent's quartile spread. Each end-to-end metric also
+gets the regression gate's two flags, relative to the metric's bound in
+`BENCHMARK.json`:
+
+- `worse_beyond_bound`: the change's median is worse than the parent's by
+  more than the bound, as a fraction of the parent's median;
+- `unresolved`: either side's quartile spread, as a fraction of its median, is
+  wider than the bound, and not every run of the change reads better than
+  every run of the parent, so the pairs cannot tell "unchanged" from a
+  regression.
 
 Standard library only; nothing under `perfbench/` is imported.
 """
@@ -74,8 +83,9 @@ def quartiles(values: list) -> tuple:
     return q1, q2, q3
 
 
-def summarize(pairs: list, better: dict) -> dict:
-    """Per metric: both sides' medians and quartiles, pair wins and the gain rule."""
+def summarize(pairs: list, better: dict, bounds: dict) -> dict:
+    """Per metric: both sides' medians and quartiles, pair wins, the gain rule and,
+    for the end-to-end metrics named in `bounds`, the regression gate's flags."""
     summary = {}
     for name, direction in better.items():
         both = [(p["parent"]["metrics"].get(name), p["change"]["metrics"].get(name))
@@ -99,6 +109,15 @@ def summarize(pairs: list, better: dict) -> dict:
             "parent_wins": losses,
             "gain_rule_holds": wins >= 0.9 * len(both) and sign * (cm - pm) > p3 - p1,
         }
+        if name in bounds:
+            bound = bounds[name]
+            spread = max((p3 - p1) / abs(pm), (c3 - c1) / abs(cm))
+            all_better = min(sign * b for b in change) > max(sign * a for a in parent)
+            summary[name].update(
+                bound=bound,
+                worse_beyond_bound=sign * (pm - cm) > bound * abs(pm),
+                unresolved=spread > bound and not all_better,
+            )
     return summary
 
 
@@ -114,6 +133,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     parent_sha = git("rev-parse", args.parent)
     record = {
         "parent": {"rev": args.parent, "commit": parent_sha},
@@ -139,14 +159,18 @@ def main(argv=None) -> int:
                 record["pairs"].append(pair)
     for workload in args.workload:
         pairs = [p for p in record["pairs"] if p["workload"] == workload]
-        record["summary"][workload] = summarize(pairs, better)
+        record["summary"][workload] = summarize(pairs, better, bounds)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     for workload, metrics in record["summary"].items():
         for name, s in metrics.items():
+            flags = ""
+            if "bound" in s:
+                flags = (f"  worse beyond bound {'yes' if s['worse_beyond_bound'] else 'no'}"
+                         f"  unresolved {'yes' if s['unresolved'] else 'no'}")
             print(f"{workload:<18} {name:<24} parent {s['parent']['median']:.6g} "
                   f"[{s['parent']['q1']:.6g}, {s['parent']['q3']:.6g}]  change "
                   f"{s['change']['median']:.6g}  wins {s['change_wins']}/{s['pairs']}  "
-                  f"gain rule {'holds' if s['gain_rule_holds'] else 'fails'}")
+                  f"gain rule {'holds' if s['gain_rule_holds'] else 'fails'}{flags}")
     return 0
 
 

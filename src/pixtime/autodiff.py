@@ -57,12 +57,11 @@ class Tensor:
     a vector-Jacobian closure used by `backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "_parents", "_vjp")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
-        self.grad = None
+        self.requires_grad = False
         self._parents: tuple = ()
         self._vjp = None
 
@@ -83,37 +82,6 @@ class Tensor:
             raise ShapeError(f"item() requires a scalar, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def backward(self) -> None:
-        backward(self)
-
-    # arithmetic sugar; constants are wrapped as untracked tensors
-    def __add__(self, other):
-        return add(self, as_tensor(other))
-
-    def __radd__(self, other):
-        return add(as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(as_tensor(other), self)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, as_tensor(other))
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -122,16 +90,18 @@ class Tensor:
 class Parameter(Tensor):
     """A named leaf tensor with a persistent gradient accumulator.
 
-    The accumulator starts at zero. It is allocated on first read, so a
-    model that binds `grad` to a view of its gradient vector before any
-    read never allocates one.
+    Parameters are the only tape leaves. The accumulator starts at zero.
+    It is allocated on first read, so a model that binds `grad` to a view
+    of its gradient vector before any read never allocates one.
     """
 
     __slots__ = ("name", "_grad")
 
     def __init__(self, name: str, value):
-        super().__init__(value, requires_grad=True)
+        super().__init__(value)
+        self.requires_grad = True
         self.name = name
+        self._grad = None
 
     @property
     def grad(self) -> np.ndarray:
@@ -221,13 +191,11 @@ def backward(loss: Tensor) -> None:
                 acc = adjoint.get(id(parent))
                 adjoint[id(parent)] = pg if acc is None else acc + pg
         else:
-            # leaf: accumulate in place, so a gradient that is a view of a
-            # model's gradient vector stays one
+            # leaf (a Parameter): accumulate in place, so a gradient that is
+            # a view of a model's gradient vector stays one; `node.grad += g`
+            # would also rebind it through the property setter
             grad = node.grad
-            if grad is None:
-                node.grad = g.copy()
-            else:
-                grad += g
+            grad += g
 
 
 # ---------------------------------------------------------------------------

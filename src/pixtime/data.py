@@ -17,6 +17,8 @@ from .errors import ConfigError, DataError, FormatError, ParseError
 from .model import NodeShapeConfig
 
 STD_FLOOR = 1e-8
+# the range the synthetic generator draws each seasonal period from, in rows
+PERIOD_RANGE = (24.0, 96.0)
 
 
 @dataclass
@@ -128,13 +130,12 @@ def downsample(values: np.ndarray, k: int) -> np.ndarray:
     return values[::k]
 
 
-def make_windows(series, T: int, S: int) -> np.ndarray:
-    """Valid window start indices for look-back T and horizon S.
+def make_windows(n: int, T: int, S: int) -> np.ndarray:
+    """Valid window start indices in a series of n rows, for look-back T and horizon S.
 
     The sample at start t covers input rows [t, t+T) and target rows
     [t+T, t+T+S).
     """
-    n = series if isinstance(series, (int, np.integer)) else np.asarray(series).shape[0]
     if n < T + S:
         raise DataError(
             f"series of length {n} too short for look-back {T} + horizon {S}"
@@ -173,7 +174,6 @@ def generate_synthetic(
     noise_sigma: float = 0.1,
     seasonal_weight: float = 0.5,
     couplings=None,
-    period_range: tuple = (24.0, 96.0),
 ) -> RawDataset:
     """Seasonal multivariate dataset whose target column is predictable.
 
@@ -190,7 +190,7 @@ def generate_synthetic(
     rng = np.random.default_rng(seed)
     n_aux = n_vars - 1
 
-    periods = rng.uniform(period_range[0], period_range[1], size=n_aux)
+    periods = rng.uniform(*PERIOD_RANGE, size=n_aux)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n_aux)
     if couplings is None:
         n_coupled = max(1, n_aux // 2)
@@ -200,7 +200,7 @@ def generate_synthetic(
         couplings = list(zip((int(c) for c in chosen), weights, (int(l) for l in lags)))
     else:
         couplings = [(int(a), float(w), int(l)) for a, w, l in couplings]
-    target_period = rng.uniform(period_range[0], period_range[1])
+    target_period = rng.uniform(*PERIOD_RANGE)
     target_phase = rng.uniform(0.0, 2.0 * np.pi)
 
     max_lag = max((lag for _, _, lag in couplings), default=0)

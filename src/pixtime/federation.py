@@ -51,7 +51,7 @@ class FederatedNode:
         cfg: NodeShapeConfig,
         views: dict,
         seed: int,
-        lr: float = 1e-4,
+        lr: float,
         batch_size: int = 32,
         use_ve: bool = True,
     ):
@@ -172,9 +172,9 @@ def aggregate(deltas: list) -> dict:
 
 
 class ServerSGD:
-    """FedAvg-style server: add the pseudo-gradient (lr 1.0 by default)."""
+    """FedAvg-style server: add `lr` times the pseudo-gradient."""
 
-    def __init__(self, lr: float = 1.0):
+    def __init__(self, lr: float):
         self.lr = lr
 
     def apply(self, global_shared: dict, pseudo: dict) -> dict:
@@ -184,22 +184,22 @@ class ServerSGD:
 class ServerAdam:
     """Adam on a flat copy of the shared state, with grad = -pseudo-gradient."""
 
-    def __init__(self, lr: float = 1e-2, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
-        self.settings = (lr, beta1, beta2, eps)
+    def __init__(self, lr: float):
+        self.lr = lr
         self.adam = None
 
     def apply(self, global_shared: dict, pseudo: dict) -> dict:
         values = np.concatenate([np.ravel(v) for v in global_shared.values()])
         grads = -np.concatenate([np.ravel(pseudo[name]) for name in global_shared])
         if self.adam is None:
-            self.adam = Adam(values, grads, *self.settings)
+            self.adam = Adam(values, grads, self.lr)
         self.adam.values, self.adam.grads = values, grads
         self.adam.step()
         return named_views(values, {name: v.shape for name, v in global_shared.items()})
 
 
 def make_server_optimizer(kind: str, lr: float | None = None):
+    """The server optimizer of `kind`, at `lr` or that kind's default rate."""
     if kind == "sgd":
         return ServerSGD(lr=1.0 if lr is None else lr)
     if kind == "adam":
@@ -207,16 +207,15 @@ def make_server_optimizer(kind: str, lr: float | None = None):
     raise ConfigError(f"unknown server optimizer {kind!r}")
 
 
-def server_step(global_shared: dict, pseudo: dict, optimizer=None) -> dict:
-    """Apply one server update; plain addition unless an optimizer is given."""
-    opt = optimizer if optimizer is not None else ServerSGD()
+def server_step(global_shared: dict, pseudo: dict, optimizer) -> dict:
+    """Apply one server update of `optimizer` to the global shared state."""
     for name in global_shared:
         if pseudo[name].shape != global_shared[name].shape:
             raise AggregationError(
                 f"pseudo-gradient shape mismatch for {name!r}: "
                 f"{pseudo[name].shape} vs {global_shared[name].shape}"
             )
-    return opt.apply(global_shared, pseudo)
+    return optimizer.apply(global_shared, pseudo)
 
 
 def _shared_digest(node: FederatedNode) -> str:
@@ -228,7 +227,7 @@ def run_federation(
     global_shared: dict,
     rounds: int,
     epochs: int,
-    server_optimizer=None,
+    server_optimizer,
 ) -> tuple:
     """Run synchronous full-participation rounds; returns (records, shared).
 
@@ -237,7 +236,6 @@ def run_federation(
     all nodes end the round with bit-identical shared parameters. Replay
     is deterministic for a fixed seed and node set.
     """
-    opt = server_optimizer if server_optimizer is not None else ServerSGD()
     records = []
     for r in range(rounds):
         t0 = time.perf_counter()
@@ -245,7 +243,7 @@ def run_federation(
         deltas = [delta for delta, _ in results]
         losses = {node.node_id: loss for node, (_, loss) in zip(nodes, results)}
         pseudo = aggregate(deltas)
-        new_shared = server_step(global_shared, pseudo, opt)
+        new_shared = server_step(global_shared, pseudo, server_optimizer)
         norms = {
             name: float(np.linalg.norm(new_shared[name] - global_shared[name]))
             for name in sorted(global_shared)

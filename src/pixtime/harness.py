@@ -426,7 +426,7 @@ def gradcheck_experiment(config: ExperimentConfig) -> dict:
     }
     report = {}
     for name, f in checks.items():
-        result = grad_check(f, model.parameters(), h=1e-5)
+        result = grad_check(f, model.params, h=1e-5)
         report[name] = {
             "max_rel_error": result.max_rel_error,
             "worst_param": result.worst_param,

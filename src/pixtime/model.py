@@ -248,9 +248,6 @@ class PiXTime:
         )
         self.proj_b = self._param("projection.bias", np.zeros(node.S))
 
-    def parameters(self) -> dict[str, Parameter]:
-        return self.params
-
     def shared_views(self, flat: np.ndarray) -> dict:
         """Name -> view of `flat`, a vector laid out like the shared segment."""
         shared, _ = partition(self.params)

@@ -8,6 +8,9 @@ import numpy as np
 from .autodiff import Parameter, backward, no_grad
 from .errors import ConfigError, DeterminismError
 
+# Adam's moment decay rates and denominator floor
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
     """Adam with bias correction over a value array and its gradient array.
@@ -16,10 +19,8 @@ class Adam:
     and `grads` vectors, so one step covers every parameter.
     """
 
-    def __init__(self, values: np.ndarray, grads: np.ndarray, lr: float = 1e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.values, self.grads = values, grads
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, values: np.ndarray, grads: np.ndarray, lr: float):
+        self.values, self.grads, self.lr = values, grads, lr
         self.t, self.m, self.v = 0, None, None
         self._update = self._denom = None
 
@@ -36,16 +37,16 @@ class Adam:
         self.t += 1
         m, v, g = self.m, self.v, self.grads
         update, denom = self._update, self._denom
-        m *= self.beta1
-        m += np.multiply(1.0 - self.beta1, g, out=update)
-        v *= self.beta2
+        m *= BETA1
+        m += np.multiply(1.0 - BETA1, g, out=update)
+        v *= BETA2
         np.multiply(g, g, out=update)
-        v += np.multiply(1.0 - self.beta2, update, out=update)
-        np.divide(m, 1.0 - self.beta1 ** self.t, out=update)
+        v += np.multiply(1.0 - BETA2, update, out=update)
+        np.divide(m, 1.0 - BETA1 ** self.t, out=update)
         update *= self.lr
-        np.divide(v, 1.0 - self.beta2 ** self.t, out=denom)
+        np.divide(v, 1.0 - BETA2 ** self.t, out=denom)
         np.sqrt(denom, out=denom)
-        denom += self.eps
+        denom += EPS
         update /= denom
         self.values -= update
 

@@ -169,11 +169,11 @@ def test_downsample_rejects_bad_stride():
 # ---------------------------------------------------------------------------
 
 def test_make_windows_count():
-    assert len(make_windows(np.zeros(10), 4, 2)) == 5
+    assert len(make_windows(10, 4, 2)) == 5
 
 
 def test_make_windows_boundary_single():
-    starts = make_windows(np.zeros(6), 4, 2)
+    starts = make_windows(6, 4, 2)
     assert starts.tolist() == [0]
 
 
@@ -184,12 +184,12 @@ def test_make_windows_matches_scan_oracle(seed):
     T = int(rng.integers(1, 6))
     S = int(rng.integers(1, 5))
     valid = [t for t in range(n) if t + T + S <= n]
-    assert make_windows(np.zeros(n), T, S).tolist() == valid
+    assert make_windows(n, T, S).tolist() == valid
 
 
 def test_make_windows_too_short():
     with pytest.raises(DataError, match="5.*look-back 4.*horizon 2"):
-        make_windows(np.zeros(5), 4, 2)
+        make_windows(5, 4, 2)
 
 
 def test_partition_windows_example():

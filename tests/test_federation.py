@@ -304,18 +304,18 @@ def test_aggregate_property_matches_oracle_and_ignores_client_order(clients, dat
 # server_step
 # ---------------------------------------------------------------------------
 
-def test_server_step_default_is_exact_addition():
+def test_server_step_sgd_at_rate_one_is_exact_addition():
     rng = np.random.default_rng(2)
     g = {"ve_table": rng.standard_normal((3, 2))}
     p = {"ve_table": rng.standard_normal((3, 2))}
-    out = server_step(g, p)
+    out = server_step(g, p, ServerSGD(1.0))
     assert np.array_equal(out["ve_table"], g["ve_table"] + p["ve_table"])
 
 
 def test_server_step_zero_pseudo_gradient_is_bit_noop():
     rng = np.random.default_rng(3)
     g = {"ve_table": rng.standard_normal((3, 2))}
-    out = server_step(g, {"ve_table": np.zeros((3, 2))})
+    out = server_step(g, {"ve_table": np.zeros((3, 2))}, ServerSGD(1.0))
     assert np.array_equal(out["ve_table"], g["ve_table"])
 
 
@@ -334,7 +334,7 @@ def _count_adam_steps(monkeypatch) -> list:
 def test_server_adam_matches_scripted_recurrence(monkeypatch):
     calls = _count_adam_steps(monkeypatch)
     lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
-    opt = ServerAdam(lr=lr, beta1=b1, beta2=b2, eps=eps)
+    opt = ServerAdam(lr=lr)
     theta = {"w": np.array([0.5])}
     pseudos = [0.3, -0.2, 0.9]
 
@@ -374,7 +374,7 @@ def test_sgd_server_round_calls_no_adam_step(monkeypatch):
     nodes = [make_node(node_id=i, n_nodes=2) for i in range(2)]
     global_shared = init_global_shared(DIMS, seed=0)
     calls = _count_adam_steps(monkeypatch)
-    run_federation(nodes, global_shared, rounds=1, epochs=1)
+    run_federation(nodes, global_shared, rounds=1, epochs=1, server_optimizer=ServerSGD(1.0))
     steps = sum(node.steps_taken for node in nodes)
     assert steps > 0
     assert {id(c) for c in calls} == {id(node.optimizer) for node in nodes}
@@ -396,7 +396,8 @@ def test_single_node_federation_equals_standalone_training():
     solo = make_node(node_id=0, seed=5)
     global_shared = init_global_shared(DIMS, seed=9)
 
-    run_federation([fed], dict(global_shared), rounds=2, epochs=3)
+    run_federation([fed], dict(global_shared), rounds=2, epochs=3,
+                   server_optimizer=ServerSGD(1.0))
 
     solo.load_shared(global_shared)
     solo.train_epochs(6)
@@ -409,7 +410,8 @@ def test_single_node_federation_equals_standalone_training():
 def test_zero_rounds_leaves_models_unchanged():
     node = make_node(seed=6)
     before = {k: v.data.copy() for k, v in node.model.params.items()}
-    records, _ = run_federation([node], init_global_shared(DIMS, seed=9), rounds=0, epochs=3)
+    records, _ = run_federation([node], init_global_shared(DIMS, seed=9), rounds=0, epochs=3,
+                                 server_optimizer=ServerSGD(1.0))
     assert records == []
     for name, value in before.items():
         assert np.array_equal(node.model.params[name].data, value)
@@ -428,7 +430,7 @@ def test_symmetric_nodes_produce_identical_deltas_and_shared_params():
         db, _ = client_update(b, global_shared, epochs=1)
         for name in da.deltas:
             assert np.max(np.abs(da.deltas[name] - db.deltas[name])) < 1e-12
-        global_shared = server_step(global_shared, aggregate([da, db]))
+        global_shared = server_step(global_shared, aggregate([da, db]), ServerSGD(1.0))
         a.load_shared(global_shared)
         b.load_shared(global_shared)
         for name in global_shared:
@@ -441,7 +443,8 @@ def test_broadcast_correctness_and_no_local_leakage():
         make_node(node_id=1, n_nodes=2, seed=14, var_ids=(2, 3)),
     ]
     records, final_shared = run_federation(
-        nodes, init_global_shared(DIMS, seed=15), rounds=3, epochs=1
+        nodes, init_global_shared(DIMS, seed=15), rounds=3, epochs=1,
+        server_optimizer=ServerSGD(1.0),
     )
     assert len(records) == 3
     for rec in records:
@@ -470,7 +473,8 @@ def test_unused_ve_row_stays_at_initialization():
     ]
     global_shared = init_global_shared(DIMS, seed=18)
     init_row = global_shared["ve_table"][4].copy()
-    _, final_shared = run_federation(nodes, global_shared, rounds=5, epochs=1)
+    _, final_shared = run_federation(nodes, global_shared, rounds=5, epochs=1,
+                                     server_optimizer=ServerSGD(1.0))
     assert np.array_equal(final_shared["ve_table"][4], init_row)
 
 
@@ -484,7 +488,7 @@ def test_single_user_ve_row_moves_by_exactly_that_delta():
     before = global_shared["ve_table"][3].copy()
     results = [client_update(node, global_shared, epochs=1) for node in nodes]
     deltas = [d for d, _ in results]
-    new_shared = server_step(global_shared, aggregate(deltas))
+    new_shared = server_step(global_shared, aggregate(deltas), ServerSGD(1.0))
     moved = new_shared["ve_table"][3] - before
     assert np.max(np.abs(moved - deltas[1].deltas["ve_table"][3])) < 1e-14
 
@@ -496,7 +500,8 @@ def test_replay_determinism():
             make_node(node_id=1, n_nodes=2, seed=23, var_ids=(2, 3)),
         ]
         records, shared = run_federation(
-            nodes, init_global_shared(DIMS, seed=24), rounds=2, epochs=1
+            nodes, init_global_shared(DIMS, seed=24), rounds=2, epochs=1,
+            server_optimizer=ServerSGD(1.0),
         )
         return records, shared
 

@@ -512,7 +512,7 @@ def test_forward_gradients_match_finite_differences():
     rng = np.random.default_rng(22)
     x, Z = rng.standard_normal(8), rng.standard_normal((8, 2))
     y = rng.standard_normal(4)
-    report = grad_check(lambda: mse(model.forward(x, Z), y), model.parameters(), h=1e-5)
+    report = grad_check(lambda: mse(model.forward(x, Z), y), model.params, h=1e-5)
     assert report.max_rel_error < 1e-4, str(report)
 
 
@@ -520,7 +520,7 @@ def test_u2u_gradients_match_finite_differences():
     model = tiny_model(seed=23)
     rng = np.random.default_rng(23)
     x, y = rng.standard_normal(8), rng.standard_normal(4)
-    report = grad_check(lambda: mse(model.u2u_forward(x), y), model.parameters(), h=1e-5)
+    report = grad_check(lambda: mse(model.u2u_forward(x), y), model.params, h=1e-5)
     assert report.max_rel_error < 1e-4, str(report)
 
 

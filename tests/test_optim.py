@@ -12,6 +12,7 @@ from pixtime import (
     Tensor,
     backward,
     grad_check,
+    matmul,
     mse,
 )
 from pixtime.errors import ConfigError, DeterminismError
@@ -101,7 +102,7 @@ def test_grad_check_quadratic():
     w = Parameter("w", np.array([[3.0]]))
 
     def f():
-        return mse(w @ Tensor([[1.0]]), Tensor([[0.0]]))
+        return mse(matmul(w, Tensor([[1.0]])), Tensor([[0.0]]))
 
     # d/dw of w^2 at w=3 is 6
     report = grad_check(f, {"w": w}, h=1e-5)
@@ -125,7 +126,7 @@ def test_grad_check_rejects_nondeterministic_function():
     rng = np.random.default_rng(0)
 
     def f():
-        return mse(w @ Tensor([[1.0]]), Tensor([[rng.standard_normal()]]))
+        return mse(matmul(w, Tensor([[1.0]])), Tensor([[rng.standard_normal()]]))
 
     with pytest.raises(DeterminismError):
         grad_check(f, {"w": w}, h=1e-5)

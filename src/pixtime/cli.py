@@ -70,6 +70,8 @@ def main(argv=None) -> int:
         if args.config is not None:
             with open(args.config) as fh:
                 raw = json.load(fh)
+            if not isinstance(raw, dict):
+                raise ConfigError(f"{args.config}: a config must be a JSON object")
         raw["mode"] = _MODE_BY_COMMAND[args.command]
         if args.seed is not None:
             raw["seed"] = args.seed

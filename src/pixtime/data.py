@@ -39,7 +39,7 @@ class SplitSpec:
 
     def __post_init__(self):
         for name, frac in (("train", self.train), ("val", self.val), ("test", self.test)):
-            if frac <= 0:
+            if not frac > 0:  # also rejects NaN
                 raise ConfigError(f"split fraction {name}={frac} must be positive")
         if abs(self.train + self.val + self.test - 1.0) > 1e-9:
             raise ConfigError(

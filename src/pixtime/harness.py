@@ -10,8 +10,9 @@ log CSV (which carries the only wall-clock fields).
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .data import (
 from .errors import ConfigError, EvaluationError
 from .federation import (
     FederatedNode,
-    RoundRecord,
     init_global_shared,
     make_server_optimizer,
     run_federation,
@@ -105,6 +105,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         def build(factory, block, label):
+            if not isinstance(block, dict):
+                raise ConfigError(f"the {label} block {block!r} must be an object")
             try:
                 return factory(**block)
             except TypeError as exc:
@@ -113,10 +115,9 @@ class ExperimentConfig:
         raw = dict(raw)
         kwargs = {}
         if "dataset" in raw:
-            ds = dict(raw.pop("dataset"))
-            if "split" in ds:
-                ds["split"] = build(SplitSpec, ds["split"], "split")
-            kwargs["dataset"] = build(DatasetConfig, ds, "dataset")
+            ds = kwargs["dataset"] = build(DatasetConfig, raw.pop("dataset"), "dataset")
+            if not isinstance(ds.split, SplitSpec):
+                ds.split = build(SplitSpec, ds.split, "split")
         if "network" in raw:
             kwargs["network"] = build(NetworkConfig, raw.pop("network"), "network")
         if "optimizer" in raw:
@@ -131,12 +132,11 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
+        net, opt, ds = self.network, self.optimizer, self.dataset
+        for block in (self, ds, ds.split, net, opt):
+            _check_types(block)
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        net, opt = self.network, self.optimizer
-        for label, value in (("strides", net.strides), ("subset_sizes", self.subset_sizes)):
-            if not isinstance(value, list):
-                raise ConfigError(f"{label}={value!r} must be a list")
         # (label, value, minimum) for every integer field, checked before
         # any of them is used as a divisor
         bounds = [
@@ -145,23 +145,26 @@ class ExperimentConfig:
             ("ablation_stride", self.ablation_stride, 1),
             ("n_nodes", net.n_nodes, 1), ("T", net.T, 1), ("S", net.S, 1), ("PL", net.PL, 1),
             ("target_id", net.target_id, 0),
-            ("batch_size", opt.batch_size, 1), ("epochs", opt.epochs, 0),
+            ("batch_size", opt.batch_size, 1), ("epochs", opt.epochs, 1),
         ]
-        sizes = [size for size in [net.subset_size] + self.subset_sizes if size is not None]
-        bounds += [("stride", k, 1) for k in net.strides] + [("subset_size", n, 1) for n in sizes]
-        spec = self.dataset.synthetic
-        if self.dataset.csv is None:
-            if spec is None:
-                raise ConfigError("dataset requires either a csv path or a synthetic spec")
-            keys = set(spec) if isinstance(spec, dict) else set()
-            if not {"n_vars", "length"} <= keys <= set(SYNTHETIC_MINIMA):
+        if net.subset_size is not None:
+            bounds.append(("subset_size", net.subset_size, 1))
+        # list elements and synthetic values, whose types _check_types cannot see
+        elements = [("stride", k, 1) for k in net.strides]
+        elements += [("subset_size", n, 1) for n in self.subset_sizes]
+        spec = ds.synthetic
+        if spec is not None:
+            if not {"n_vars", "length"} <= set(spec) <= set(SYNTHETIC_MINIMA):
                 raise ConfigError(
                     f"synthetic spec {spec!r} must hold n_vars, length and an optional seed"
                 )
-            bounds += [(f"synthetic.{k}", v, SYNTHETIC_MINIMA[k]) for k, v in spec.items()]
-        for label, value, low in bounds:
+            elements += [(f"synthetic.{k}", v, SYNTHETIC_MINIMA[k]) for k, v in spec.items()]
+        elif ds.csv is None and self.mode != "gradcheck":  # gradcheck reads no data
+            raise ConfigError("dataset requires either a csv path or a synthetic spec")
+        for label, value, _ in elements:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{label}={value!r} must be an integer")
+        for label, value, low in bounds + elements:
             if value < low:
                 raise ConfigError(f"{label}={value} must be >= {low}")
         if self.D % self.H != 0:
@@ -170,7 +173,7 @@ class ExperimentConfig:
         if opt.server_lr is not None:
             rates["server_lr"] = opt.server_lr
         for label, value in rates.items():
-            if not (isinstance(value, (int, float)) and 0 < value < math.inf):
+            if not 0 < value < math.inf:
                 raise ConfigError(f"{label}={value!r} must be a positive finite number")
         make_server_optimizer(opt.server_kind)  # rejects an unknown kind
         if len(net.strides) != net.n_nodes:
@@ -186,9 +189,10 @@ class ExperimentConfig:
                         f"stride {k} does not divide {label}={base}; granularity "
                         "pairing needs integral window lengths"
                     )
-        if self.dataset.csv is None:
+        if ds.csv is None and spec is not None:
             # a synthetic dataset's width is known before any data exists
             n_vars = spec["n_vars"]
+            sizes = [n for n in [net.subset_size] + self.subset_sizes if n is not None]
             widths = [("target_id", net.target_id)] + [("subset_size", n) for n in sizes]
             for label, value in widths:
                 if value >= n_vars:
@@ -198,6 +202,17 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _check_types(block) -> None:
+    """Reject a field whose value is not of its declared type; a float field takes an int."""
+    for f in fields(block):
+        value = getattr(block, f.name)
+        kinds = get_args(f.type) or (f.type,)
+        kinds = ((int,) if float in kinds else ()) + kinds
+        if isinstance(value, bool) and bool not in kinds or not isinstance(value, kinds):
+            names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+            raise ConfigError(f"{f.name}={value!r} must be {names}")
 
 
 # ---------------------------------------------------------------------------
@@ -328,24 +343,36 @@ def _prepare(config: ExperimentConfig, seed: int) -> tuple:
     return nodes, global_shared
 
 
-def _node_report(nodes: list, include_baseline: bool = True) -> dict:
-    per_node = []
-    for node in nodes:
-        m = evaluate(node)
-        entry = {"node_id": node.node_id, "S": node.cfg.S, **m.to_dict()}
-        if include_baseline:
-            entry["persistence"] = persistence_baseline(node.views["test"]).to_dict()
-        per_node.append(entry)
-    avg = {
-        "mse": float(np.mean([e["mse"] for e in per_node])),
-        "mae": float(np.mean([e["mae"] for e in per_node])),
-    }
-    return {"nodes": per_node, "average": avg}
+def _reduce_errors(entries: list, reduce) -> dict:
+    """`reduce` (np.mean over nodes, np.median over seeds) of the entries' mse and mae."""
+    return {stat: float(reduce([e[stat] for e in entries])) for stat in ("mse", "mae")}
+
+
+def _node_report(nodes: list) -> dict:
+    per_node = [
+        {"node_id": node.node_id, "S": node.cfg.S, **evaluate(node).to_dict(),
+         "persistence": persistence_baseline(node.views["test"]).to_dict()}
+        for node in nodes
+    ]
+    return {"nodes": per_node, "average": _reduce_errors(per_node, np.mean)}
 
 
 # ---------------------------------------------------------------------------
 # experiment modes
 # ---------------------------------------------------------------------------
+
+def _variant(config: ExperimentConfig, **changes) -> ExperimentConfig:
+    """A checked copy of `config` with fields replaced; a dict updates that block's fields."""
+    raw = config.to_dict()
+    raw.update({k: {**raw[k], **v} if isinstance(v, dict) else v for k, v in changes.items()})
+    return ExperimentConfig.from_dict(raw)
+
+
+def _solo(config: ExperimentConfig, stride: int) -> ExperimentConfig:
+    """Node of `stride` alone: a one-node federation with the identity server step."""
+    return _variant(config, network={"n_nodes": 1, "strides": [stride]},
+                    optimizer={"server_kind": "sgd", "server_lr": None})
+
 
 def _train_federated(config: ExperimentConfig, seed: int) -> tuple:
     nodes, global_shared = _prepare(config, seed)
@@ -356,54 +383,17 @@ def _train_federated(config: ExperimentConfig, seed: int) -> tuple:
     return nodes, records
 
 
-def _train_central(config: ExperimentConfig, seed: int) -> tuple:
-    """Single-node training with the same total epoch budget as a fed run."""
-    cfg = ExperimentConfig.from_dict({**config.to_dict(), "mode": "central"})
-    cfg.network.n_nodes = 1
-    cfg.network.strides = config.network.strides[:1]
-    nodes, _ = _prepare(cfg, seed)
-    node = nodes[0]
-    records = []
-    for r in range(config.rounds):
-        t0 = time.perf_counter()
-        loss = node.train_epochs(config.optimizer.epochs)
-        records.append(
-            RoundRecord(
-                round_index=r,
-                node_losses={node.node_id: loss},
-                update_norms={},
-                duration_s=time.perf_counter() - t0,
-            )
-        )
-    return nodes, records
+ROUND_COLUMNS = ("round", "kind", "node_id", "train_loss", "detail", "duration_s")
 
 
 def _round_rows(records) -> list:
-    """Flatten round records into CSV rows (see README for the column set)."""
+    """Flatten round records into CSV rows, one value per ROUND_COLUMNS entry."""
     rows = []
     for rec in records:
         for node_id, loss in sorted(rec.node_losses.items()):
-            rows.append(
-                {
-                    "round": rec.round_index,
-                    "kind": "node",
-                    "node_id": node_id,
-                    "train_loss": loss,
-                    "detail": "",
-                    "duration_s": "",
-                }
-            )
+            rows.append((rec.round_index, "node", node_id, loss, "", ""))
         norm_text = ";".join(f"{k}={v:.6e}" for k, v in rec.update_norms.items())
-        rows.append(
-            {
-                "round": rec.round_index,
-                "kind": "server",
-                "node_id": "",
-                "train_loss": "",
-                "detail": norm_text,
-                "duration_s": rec.duration_s,
-            }
-        )
+        rows.append((rec.round_index, "server", "", "", norm_text, rec.duration_s))
     return rows
 
 
@@ -440,46 +430,23 @@ def ablate_granularity(config: ExperimentConfig) -> dict:
     """Mixed-granularity federation vs fine-only and coarse-only solo runs.
 
     The mix setting pairs a fine node with a stride-k coarse node whose
-    T, S and PL are divided by k so patches span identical physical time.
-    Each setting runs over n_seeds seeds; medians are reported.
+    T, S and PL are divided by k so patches span identical physical time;
+    a solo run is `_solo`. Each setting runs over n_seeds seeds; medians
+    are reported.
     """
     k = config.ablation_stride
-    base = config.to_dict()
-    settings = {
-        "mix": {"n_nodes": 2, "strides": [1, k]},
-        "fine": {"n_nodes": 1, "strides": [1]},
-        "coarse": {"n_nodes": 1, "strides": [k]},
-    }
     out = {"stride": k, "settings": {}}
-    for name, net_patch in settings.items():
+    settings = {"mix": _variant(config, network={"n_nodes": 2, "strides": [1, k]}),
+                "fine": _solo(config, 1), "coarse": _solo(config, k)}
+    for name, cfg in settings.items():
         per_seed = []
-        for s in range(config.n_seeds):
-            seed = config.seed + s
-            cfg = ExperimentConfig.from_dict(
-                {
-                    **base,
-                    "mode": "federated",
-                    "network": {**base["network"], **net_patch},
-                }
-            )
-            if name == "mix":
-                nodes, _ = _train_federated(cfg, seed)
-            else:
-                nodes, _ = _train_central(cfg, seed)
+        for seed in range(config.seed, config.seed + config.n_seeds):
+            nodes, _ = _train_federated(cfg, seed)
             entry = {"seed": seed}
             for node in nodes:
-                label = "fine" if node.cfg.stride == 1 else "coarse"
-                entry[label] = evaluate(node).to_dict()
+                entry["fine" if node.cfg.stride == 1 else "coarse"] = evaluate(node).to_dict()
             per_seed.append(entry)
-        medians = {}
-        for label in ("fine", "coarse"):
-            vals = [e[label]["mse"] for e in per_seed if label in e]
-            if vals:
-                medians[label] = {
-                    "mse": float(np.median(vals)),
-                    "mae": float(np.median([e[label]["mae"] for e in per_seed if label in e])),
-                }
-        out["settings"][name] = {"seeds": per_seed, "median": medians}
+        out["settings"][name] = {"seeds": per_seed, "median": _seed_medians(per_seed)}
     return out
 
 
@@ -489,38 +456,26 @@ def ablate_ve(config: ExperimentConfig) -> dict:
     Identical seeds and data per pair; optional sweep over auxiliary
     subset sizes. Zero table init makes the pair identical at step 0.
     """
-    base = config.to_dict()
     sizes = config.subset_sizes or [config.network.subset_size]
-    out = {"subset_sizes": [], "sweeps": {}}
+    out = {"subset_sizes": list(sizes), "sweeps": {}}
     for size in sizes:
+        pair = {"ve": _variant(config, network={"subset_size": size}, use_ve=True),
+                "nove": _variant(config, network={"subset_size": size}, use_ve=False)}
         per_seed = []
-        for s in range(config.n_seeds):
-            seed = config.seed + s
-            pair = {}
-            for label, use_ve in (("ve", True), ("nove", False)):
-                cfg = ExperimentConfig.from_dict(
-                    {
-                        **base,
-                        "mode": "federated",
-                        "use_ve": use_ve,
-                        "network": {**base["network"], "subset_size": size},
-                    }
-                )
+        for seed in range(config.seed, config.seed + config.n_seeds):
+            entry = {"seed": seed}
+            for label, cfg in pair.items():
                 nodes, _ = _train_federated(cfg, seed)
-                report = _node_report(nodes, include_baseline=False)
-                pair[label] = report["average"]
-            per_seed.append({"seed": seed, **pair})
-        median = {
-            label: {
-                "mse": float(np.median([e[label]["mse"] for e in per_seed])),
-                "mae": float(np.median([e[label]["mae"] for e in per_seed])),
-            }
-            for label in ("ve", "nove")
-        }
-        key = str(size)
-        out["subset_sizes"].append(size)
-        out["sweeps"][key] = {"seeds": per_seed, "median": median}
+                entry[label] = _reduce_errors([evaluate(n).to_dict() for n in nodes], np.mean)
+            per_seed.append(entry)
+        out["sweeps"][str(size)] = {"seeds": per_seed, "median": _seed_medians(per_seed)}
     return out
+
+
+def _seed_medians(per_seed: list) -> dict:
+    """The median mse and mae over seeds of each labelled result a seed entry holds."""
+    return {label: _reduce_errors([e[label] for e in per_seed], np.median)
+            for label in per_seed[0] if label != "seed"}
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +485,6 @@ def ablate_ve(config: ExperimentConfig) -> dict:
 @dataclass
 class ExperimentResult:
     metrics: dict
-    round_rows: list
     out_dir: Path
     duration_s: float
 
@@ -544,11 +498,9 @@ def write_outputs(out_dir, config: ExperimentConfig, metrics: dict, round_rows: 
     with open(out / "metrics.json", "w") as fh:
         json.dump(metrics, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    header = ["round", "kind", "node_id", "train_loss", "detail", "duration_s"]
     with open(out / "rounds.csv", "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in round_rows:
-            fh.write(",".join(str(row[h]) for h in header) + "\n")
+        for row in [ROUND_COLUMNS] + round_rows:
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -568,12 +520,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     if config.mode == "gradcheck":
         metrics["gradcheck"] = gradcheck_experiment(config)
-    elif config.mode == "central":
-        nodes, records = _train_central(config, config.seed)
-        round_rows = _round_rows(records)
-        metrics.update(_node_report(nodes))
-    elif config.mode == "federated":
-        nodes, records = _train_federated(config, config.seed)
+    elif config.mode in ("central", "federated"):
+        trained = config
+        if config.mode == "central":  # node 0 alone, with the same epoch budget
+            trained = _solo(config, config.network.strides[0])
+        nodes, records = _train_federated(trained, config.seed)
         round_rows = _round_rows(records)
         metrics.update(_node_report(nodes))
     elif config.mode == "evaluate":
@@ -587,7 +538,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     write_outputs(config.out_dir, config, metrics, round_rows)
     return ExperimentResult(
         metrics=metrics,
-        round_rows=round_rows,
         out_dir=Path(config.out_dir),
         duration_s=time.perf_counter() - t0,
     )

@@ -37,7 +37,7 @@ from pixtime import (
 )
 from pixtime.data import SplitSpec, build_node_views, gather_batch
 from pixtime.federation import ServerSGD
-from pixtime.harness import _prepare, _train_central, _train_federated
+from pixtime.harness import _prepare, _train_federated
 
 
 def _report(index: int, passed: bool, detail: str) -> None:
@@ -55,11 +55,10 @@ TINY_NODE = NodeShapeConfig(node_id=0, T=8, S=4, PL=4, var_ids=[1, 2], target_id
 
 def test_criterion_01_gradient_fidelity(tmp_path):
     # gradcheck mode builds its own tiny model (TINY_DIMS, TINY_NODE) and
-    # inputs; the dataset block is required by the config but never loaded
-    config = ExperimentConfig.from_dict({
-        "mode": "gradcheck", "seed": 0, "out_dir": str(tmp_path),
-        "dataset": {"synthetic": {"n_vars": 4, "length": 1000}},
-    })
+    # inputs, so its config needs no dataset
+    config = ExperimentConfig.from_dict(
+        {"mode": "gradcheck", "seed": 0, "out_dir": str(tmp_path)}
+    )
     report = run_experiment(config).metrics["gradcheck"]
     errors = {name: report[name]["max_rel_error"] for name in ("m2u", "m2m", "u2u")}
     worst = max(errors.values())
@@ -234,11 +233,15 @@ def test_criterion_04_federation_identity():
         "optimizer": {"lr": 1e-3, "batch_size": 32, "epochs": 2},
         "rounds": 3, "seed": 0, "out_dir": "unused",
     }
-    fed_nodes, _ = _train_federated(ExperimentConfig.from_dict(raw), seed=0)
-    solo_nodes, _ = _train_central(ExperimentConfig.from_dict(raw), seed=0)
+    config = ExperimentConfig.from_dict(raw)
+    fed_nodes, _ = _train_federated(config, seed=0)
+    # the standalone reference: the same node trains alone, with no server step
+    (solo,), _ = _prepare(config, seed=0)
+    for _ in range(config.rounds):
+        solo.train_epochs(config.optimizer.epochs)
     diff = max(
         float(np.max(np.abs(fed_nodes[0].model.params[name].data
-                            - solo_nodes[0].model.params[name].data)))
+                            - solo.model.params[name].data)))
         for name in fed_nodes[0].model.params
     )
     _report(4, diff < 1e-12, f"max parameter difference {diff:.2e} (tol 1e-12)")

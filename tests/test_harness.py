@@ -1,18 +1,30 @@
 """Config validation, metrics, experiment artifacts, CLI behavior."""
 
+import copy
 import csv
 import json
 import re
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pixtime import ExperimentConfig, evaluate, persistence_baseline, run_experiment
 from pixtime.cli import main as cli_main
 from pixtime.data import NodeDataView, SplitSpec, build_node_views
 from pixtime.errors import ConfigError, EvaluationError
-from pixtime.harness import DatasetConfig, Metrics, NetworkConfig, OptimizerConfig, _prepare
+from pixtime.harness import (
+    SYNTHETIC_MINIMA,
+    DatasetConfig,
+    Metrics,
+    NetworkConfig,
+    OptimizerConfig,
+    _prepare,
+)
 from pixtime.model import NodeShapeConfig
 
 
@@ -59,6 +71,8 @@ INVALID_PATCHES = [
     {"use_pos_embed": True},                               # removed keys
     {"optimizer": {"shuffle": False}},
     {"optimizer": {"reset_client_opt": True}},
+    {"dataset": {"synthetic": {"n_vars": 4, "length": 1000},
+                 "split": {"train": float("nan"), "val": 0.1, "test": 0.2}}},
 ]
 
 
@@ -85,6 +99,75 @@ def test_unknown_config_key_rejected(tmp_path):
 def test_unknown_nested_key_rejected(tmp_path):
     with pytest.raises(ConfigError, match="optimizer"):
         small_config(tmp_path, optimizer={"lr": 1e-3, "momentum": 0.9})
+
+
+VALID_RAW = {
+    "mode": "federated",
+    "dataset": {"csv": None, "synthetic": {"n_vars": 4, "length": 1000, "seed": 0},
+                "split": {"train": 0.7, "val": 0.1, "test": 0.2}},
+    "D": 8, "L": 1, "H": 2, "d_ff": 16,
+    "network": {"n_nodes": 2, "strides": [1, 1], "subset_size": None,
+                "T": 24, "S": 8, "PL": 4, "target_id": 0},
+    "optimizer": {"lr": 1e-3, "batch_size": 32, "epochs": 1,
+                  "server_kind": "sgd", "server_lr": None},
+    "rounds": 2, "seed": 0, "out_dir": "out", "use_ve": True,
+    "n_seeds": 1, "ablation_stride": 2, "subset_sizes": [],
+}
+# the path in a raw config of every field of the config dataclasses, and of
+# every key of the synthetic block
+CONFIG_BLOCKS = [
+    ((), ExperimentConfig), (("dataset",), DatasetConfig), (("dataset", "split"), SplitSpec),
+    (("network",), NetworkConfig), (("optimizer",), OptimizerConfig),
+]
+LEAF_PATHS = [path + (f.name,) for path, cls in CONFIG_BLOCKS for f in fields(cls)]
+LEAF_PATHS += [("dataset", "synthetic", key) for key in SYNTHETIC_MINIMA]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+
+
+def _has_declared_type(value, declared) -> bool:
+    kinds = get_args(declared) or (declared,)
+    if isinstance(value, bool):
+        return bool in kinds
+    return isinstance(value, kinds) or (float in kinds and isinstance(value, int))
+
+
+def _assert_declared_types(block) -> None:
+    for f in fields(block):
+        value = getattr(block, f.name)
+        assert _has_declared_type(value, f.type), (f.name, value)
+        if is_dataclass(value):
+            _assert_declared_types(value)
+
+
+def _leaf_block(raw: dict, path: tuple) -> dict:
+    for key in path[:-1]:
+        raw = raw[key]
+    return raw
+
+
+def test_property_base_config_is_valid_and_sets_every_leaf():
+    _assert_declared_types(ExperimentConfig.from_dict(VALID_RAW))
+    for path in LEAF_PATHS:
+        assert path[-1] in _leaf_block(VALID_RAW, path), path
+
+
+@settings(deadline=None, max_examples=400)
+@given(path=st.sampled_from(LEAF_PATHS), value=JSON_VALUES)
+def test_any_json_value_in_any_field_is_rejected_or_typed(path, value):
+    """One field set to any value json.load can return: a ConfigError, or
+    a config whose every field has its declared type; never another error."""
+    raw = copy.deepcopy(VALID_RAW)
+    _leaf_block(raw, path)[path[-1]] = value
+    try:
+        config = ExperimentConfig.from_dict(raw)
+    except ConfigError:
+        return
+    _assert_declared_types(config)
 
 
 def test_oversized_subset_rejected_at_build(tmp_path):
@@ -253,14 +336,62 @@ def test_config_echo_round_trips(tmp_path):
 
 
 def test_central_mode_trains_single_node(tmp_path):
-    result = run_experiment(small_config(tmp_path, mode="central", rounds=1))
+    result = run_experiment(small_config(tmp_path, mode="central", rounds=1, L=2))
     assert len(result.metrics["nodes"]) == 1
     rows = (result.out_dir / "rounds.csv").read_text().splitlines()
     assert len(rows) == 3  # header + the round's node row and server row
     node_row, server_row = (row.split(",") for row in rows[1:])
     assert node_row[:3] == ["0", "node", "0"] and node_row[4:] == ["", ""]
-    assert server_row[:5] == ["0", "server", "", "", ""]
+    assert server_row[:4] == ["0", "server", "", ""]
+    # a one-node federation: the server row holds the shared-update norms
+    norms = dict(pair.split("=") for pair in server_row[4].split(";"))
+    assert norms and all(float(v) > 0 for v in norms.values())
     assert float(server_row[5]) > 0
+
+
+def _standalone_errors(config, stride):
+    """Test errors of one node of `stride` trained alone: no server, no federation."""
+    raw = config.to_dict()
+    raw["network"].update(n_nodes=1, strides=[stride])
+    (node,), _ = _prepare(ExperimentConfig.from_dict(raw), config.seed)
+    for _ in range(config.rounds):
+        node.train_epochs(config.optimizer.epochs)
+    return evaluate(node).to_dict()
+
+
+def _assert_errors_match(got, want):
+    for stat in ("mse", "mae", "per_step_mse"):
+        np.testing.assert_allclose(got[stat], want[stat], rtol=1e-12, atol=0)
+
+
+# a one-node FedAvg is standalone training only with the identity server step,
+# so central and solo runs must not take the config's server optimizer
+SERVERS = [{"server_kind": "adam"}, {"server_kind": "adam", "server_lr": 0.5},
+           {"server_kind": "sgd", "server_lr": 0.5}]
+
+
+@pytest.mark.parametrize("server", SERVERS)
+def test_central_mode_is_standalone_training_whatever_the_server(tmp_path, server):
+    config = small_config(
+        tmp_path, mode="central",
+        optimizer={"lr": 1e-3, "batch_size": 32, "epochs": 1, **server},
+    )
+    node = run_experiment(config).metrics["nodes"][0]
+    _assert_errors_match(node, _standalone_errors(config, 1))
+
+
+@pytest.mark.parametrize("server", SERVERS)
+def test_solo_granularity_settings_are_standalone_training_whatever_the_server(
+    tmp_path, server
+):
+    config = small_config(
+        tmp_path, mode="ablate-granularity", rounds=1, n_seeds=1, ablation_stride=2,
+        network={"n_nodes": 2, "strides": [1, 2], "T": 24, "S": 8, "PL": 4},
+        optimizer={"lr": 1e-3, "batch_size": 32, "epochs": 1, **server},
+    )
+    settings = run_experiment(config).metrics["granularity"]["settings"]
+    for name, stride in (("fine", 1), ("coarse", 2)):
+        _assert_errors_match(settings[name]["seeds"][0][name], _standalone_errors(config, stride))
 
 
 def test_ablate_granularity_report_has_exactly_three_settings(tmp_path):
@@ -376,6 +507,14 @@ def _synthetic(**fields):
     {"network": _network(target_id=4)},
     {"network": _network(subset_size=4)},
     {"subset_sizes": [2, 4]},
+    {"out_dir": 5},
+    {"dataset": {"csv": 0}},
+    {"dataset": {"csv": 5}},
+    {"dataset": 5},
+    {"use_ve": "no"},
+    {"optimizer": {"lr": True, "epochs": 1}},
+    {"optimizer": {"lr": 1e-3, "epochs": 1, "server_lr": True}},
+    {"optimizer": {"lr": 1e-3, "epochs": 0}},
 ])
 def test_cli_rejects_bad_values_with_exit_2_before_any_io(tmp_path, capsys, monkeypatch,
                                                           overrides):
@@ -387,6 +526,19 @@ def test_cli_rejects_bad_values_with_exit_2_before_any_io(tmp_path, capsys, monk
     assert cli_main(["train-fed", "--config", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ["[1]", "null", '"federated"'])
+def test_cli_rejects_a_config_that_is_not_an_object_with_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert cli_main(["train-fed", "--config", str(path)]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
+def test_cli_gradcheck_needs_no_config(tmp_path):
+    assert cli_main(["gradcheck", "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "metrics.json").read_text())["gradcheck"]["pass"]
 
 
 def test_cli_non_finite_csv_cell_names_file_row_and_column(tmp_path, capsys):

@@ -16,11 +16,16 @@ So no kernel reduces along a short last axis: row sums and means are
 GEMVs against a ones (or 1/n) vector, and softmax reduces along the
 leading axis of a score block stored key-leading. No score GEMM takes a
 transposed view either: the transposed keys and values are copied
-C-contiguous first.
+C-contiguous first. Attention's VJP forms its product of the context
+gradient and the values as a plain BLAS GEMM, which the softmax VJP reads
+key-first through a transposed view: written key-leading, that product
+misses BLAS and took twice as long at the training shape.
 """
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,6 +34,9 @@ from scipy.special import erf
 from .errors import ConfigError, NumericError, ShapeError, TapeError
 
 _GRAD_ENABLED = True
+# stamps each tape node in creation order; a node's parents always exist
+# before it, so descending creation order is a reverse topological order
+_CREATION_ORDER = itertools.count()
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -53,11 +61,11 @@ class Tensor:
     """A dense n-dimensional float64 value, optionally on the tape.
 
     `data` is the row-major numpy array; `requires_grad` marks tape
-    participation. Non-leaf tensors keep references to their parents and
-    a vector-Jacobian closure used by `backward`.
+    participation. Non-leaf tensors keep references to their parents, a
+    vector-Jacobian closure used by `backward` and their creation order.
     """
 
-    __slots__ = ("data", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "_parents", "_vjp", "_order")
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
@@ -135,11 +143,14 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable, op: str)
         out.requires_grad = True
         out._parents = tuple(parents)
         out._vjp = vjp
+        out._order = next(_CREATION_ORDER)
     return out
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a gradient back to `shape` by summing broadcast axes."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -162,40 +173,41 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         raise TapeError("backward called on a value detached from the tape")
 
-    # iterative topological order over the recorded graph
-    topo: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in visited:
-                stack.append((p, False))
+    if loss._vjp is None:  # a Parameter is its own loss
+        _accumulate(loss, np.ones_like(loss.data))
+        return
 
-    adjoint: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
-        g = adjoint.pop(id(node), None)
+    # the op nodes (those with a VJP) reachable from the loss, latest first
+    ops: list[Tensor] = [loss]
+    seen = {loss}
+    for node in ops:
+        for p in node._parents:
+            if p._vjp is not None and p not in seen:
+                seen.add(p)
+                ops.append(p)
+    ops.sort(key=attrgetter("_order"), reverse=True)
+
+    adjoint: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
+    for node in ops:
+        g = adjoint.pop(node, None)
         if g is None:
             continue
-        if node._vjp is not None:
-            for parent, pg in zip(node._parents, node._vjp(g)):
-                if pg is None or not parent.requires_grad:
-                    continue
-                acc = adjoint.get(id(parent))
-                adjoint[id(parent)] = pg if acc is None else acc + pg
-        else:
-            # leaf (a Parameter): accumulate in place, so a gradient that is
-            # a view of a model's gradient vector stays one; `node.grad += g`
-            # would also rebind it through the property setter
-            grad = node.grad
-            grad += g
+        for parent, pg in zip(node._parents, node._vjp(g)):
+            if pg is None or not parent.requires_grad:
+                continue
+            if parent._vjp is None:
+                _accumulate(parent, pg)
+            else:
+                acc = adjoint.get(parent)
+                adjoint[parent] = pg if acc is None else acc + pg
+
+
+def _accumulate(leaf: Parameter, g: np.ndarray) -> None:
+    """Add `g` into a leaf's gradient in place, so a gradient that is a view of
+    a model's gradient vector stays one; `leaf.grad += g` would also rebind it
+    through the property setter."""
+    grad = leaf.grad
+    grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +311,15 @@ def swapaxes(x: Tensor, ax1: int, ax2: int) -> Tensor:
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     parts = [as_tensor(p) for p in parts]
     data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    offsets = list(itertools.accumulate((p.data.shape[axis] for p in parts), initial=0))
 
     def vjp(g):
-        return tuple(
-            np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(parts))
-        )
+        index = [slice(None)] * g.ndim
+        views = []
+        for lo, hi in zip(offsets, offsets[1:]):
+            index[axis] = slice(lo, hi)
+            views.append(g[tuple(index)])
+        return tuple(views)
 
     return _result(data, parts, vjp, "concat")
 
@@ -406,10 +419,21 @@ def _key_leading_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Attention keeps its score blocks this way, so the softmax reductions
     over the key axis run along the leading axis.
     """
-    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    lead = a.shape[:-2]
+    if lead != b.shape[:-2]:
+        lead = np.broadcast_shapes(lead, b.shape[:-2])
     out = np.empty((b.shape[-1],) + lead + (a.shape[-2],))
-    np.matmul(a, b, out=np.moveaxis(out, 0, -1))
+    np.matmul(a, b, out=out.transpose(_key_axes(out.ndim)[0]))
     return out
+
+
+@lru_cache(maxsize=8)
+def _key_axes(ndim: int) -> tuple:
+    """Transpose axes for a key-leading score block (n, ..., m) of rank `ndim`:
+    key axis last (..., m, n), key axis second last (..., n, m), and the
+    inverse of the first, which reads a (..., m, n) block key-first."""
+    return ((*range(1, ndim), 0), (*range(1, ndim - 1), 0, ndim - 1),
+            (ndim - 1, *range(ndim - 1)))
 
 
 def _check_layer_norm(n: int, gain: Tensor, bias: Tensor, eps: float) -> None:
@@ -482,7 +506,7 @@ def _linear_vjp(g: np.ndarray, x2: np.ndarray, w: np.ndarray, x_shape) -> tuple:
 
 def _transposed(t: np.ndarray) -> np.ndarray:
     """A C-contiguous copy of `t` with its last two axes swapped."""
-    return np.ascontiguousarray(np.swapaxes(t, -1, -2))
+    return np.ascontiguousarray(t.swapaxes(-1, -2))
 
 
 def _grad_shape(t: Tensor):
@@ -634,10 +658,10 @@ def multi_head_attention(
     c = 1.0 / np.sqrt(head_dim)
 
     def split(t):  # (..., n, D) -> (..., H, n, head_dim)
-        return np.swapaxes(t.reshape(t.shape[:-1] + (n_heads, head_dim)), -3, -2)
+        return t.reshape(t.shape[:-1] + (n_heads, head_dim)).swapaxes(-3, -2)
 
     def merge(t):  # (..., H, n, head_dim) -> (..., n, D)
-        t = np.swapaxes(t, -3, -2)
+        t = t.swapaxes(-3, -2)
         return t.reshape(t.shape[:-2] + (d_model,))
 
     q2, q = _linear_fwd(q_tokens.data, w.w_q.data, w.b_q.data)
@@ -648,17 +672,19 @@ def multi_head_attention(
     attn = _key_leading_matmul(q, _transposed(k))
     attn *= c
     _softmax_fwd(attn)
-    ctx = merge(np.moveaxis(attn, 0, -1) @ v)
+    key_last, key_second_last, key_first = _key_axes(attn.ndim)
+    ctx = merge(attn.transpose(key_last) @ v)
     ctx2, data = _linear_fwd(ctx, w.w_o.data, w.b_o.data)
 
     def vjp(g):
         g_ctx, g_wo, g_bo = _linear_vjp(g, ctx2, w.w_o.data, ctx.shape)
         g_ctx = split(g_ctx)
-        g_v = _unbroadcast(np.moveaxis(attn, 0, -2) @ g_ctx, v.shape)
-        g_s = _softmax_vjp(_key_leading_matmul(g_ctx, _transposed(v)), attn)
+        g_v = _unbroadcast(attn.transpose(key_second_last) @ g_ctx, v.shape)
+        # a plain BLAS product, read key-first by the softmax VJP
+        g_s = _softmax_vjp((g_ctx @ _transposed(v)).transpose(key_first), attn)
         g_s *= c
-        g_q = _unbroadcast(np.moveaxis(g_s, 0, -1) @ k, q.shape)
-        g_k = _unbroadcast(np.moveaxis(g_s, 0, -2) @ q, k.shape)
+        g_q = _unbroadcast(g_s.transpose(key_last) @ k, q.shape)
+        g_k = _unbroadcast(g_s.transpose(key_second_last) @ q, k.shape)
         g_qt, g_wq, g_bq = _linear_vjp(merge(g_q), q2, w.w_q.data, _grad_shape(q_tokens))
         g_kt, g_wk, _ = _linear_vjp(merge(g_k), k2, w.w_k.data, _grad_shape(k_tokens))
         g_vt, g_wv, g_bv = _linear_vjp(merge(g_v), v2, w.w_v.data, _grad_shape(v_tokens))

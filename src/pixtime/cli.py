@@ -45,11 +45,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_json(path: Path):
+    """The JSON value in `path`; text that is not JSON is a config error."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+
+
 def _gen_synthetic(args) -> int:
     spec = {"n_vars": args.n_vars, "length": args.length, "seed": args.seed}
     if args.config is not None:
-        with open(args.config) as fh:
-            block = json.load(fh)
+        block = _read_json(args.config)
         spec = {**spec, **block} if isinstance(block, dict) else block
     # the experiment config check covers the synthetic block; its other
     # fields keep their valid defaults
@@ -68,8 +76,7 @@ def main(argv=None) -> int:
             return _gen_synthetic(args)
         raw = {}
         if args.config is not None:
-            with open(args.config) as fh:
-                raw = json.load(fh)
+            raw = _read_json(args.config)
             if not isinstance(raw, dict):
                 raise ConfigError(f"{args.config}: a config must be a JSON object")
         raw["mode"] = _MODE_BY_COMMAND[args.command]
@@ -85,7 +92,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (PixTimeError, OSError, json.JSONDecodeError) as exc:
+    except (PixTimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -39,8 +39,11 @@ class SplitSpec:
 
     def __post_init__(self):
         for name, frac in (("train", self.train), ("val", self.val), ("test", self.test)):
+            # the type first, so a string is not rejected by its comparison
+            if isinstance(frac, bool) or not isinstance(frac, (int, float)):
+                raise ConfigError(f"dataset.split.{name}={frac!r} must be a number")
             if not frac > 0:  # also rejects NaN
-                raise ConfigError(f"split fraction {name}={frac} must be positive")
+                raise ConfigError(f"dataset.split.{name}={frac} must be positive")
         if abs(self.train + self.val + self.test - 1.0) > 1e-9:
             raise ConfigError(
                 f"split fractions must sum to 1, got {self.train + self.val + self.test}"

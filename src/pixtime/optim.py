@@ -37,16 +37,19 @@ class Adam:
         self.t += 1
         m, v, g = self.m, self.v, self.grads
         update, denom = self._update, self._denom
+        # both bias corrections folded into two scalars:
+        # lr * m_hat / (sqrt(v_hat) + EPS) = step * m / (sqrt(v) + eps_t)
+        root_bc2 = np.sqrt(1.0 - BETA2 ** self.t)
+        step = self.lr * root_bc2 / (1.0 - BETA1 ** self.t)
+        eps_t = EPS * root_bc2
         m *= BETA1
         m += np.multiply(1.0 - BETA1, g, out=update)
         v *= BETA2
         np.multiply(g, g, out=update)
         v += np.multiply(1.0 - BETA2, update, out=update)
-        np.divide(m, 1.0 - BETA1 ** self.t, out=update)
-        update *= self.lr
-        np.divide(v, 1.0 - BETA2 ** self.t, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += EPS
+        np.sqrt(v, out=denom)
+        denom += eps_t
+        np.multiply(m, step, out=update)
         update /= denom
         self.values -= update
 

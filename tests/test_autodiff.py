@@ -914,6 +914,8 @@ KERNEL_CALLS = {
     "gelu_fwd": (ad._gelu_fwd, [(32, 7, 64)]),
     "score_matmul": (lambda a, b: ad._key_leading_matmul(a, ad._transposed(b)),
                      [(32, 4, 7, 8), (32, 4, 7, 8)]),
+    # the attention VJP's BLAS product of the output and value gradients
+    "score_vjp_matmul": (lambda g, v: g @ ad._transposed(v), [(32, 4, 7, 8), (32, 4, 7, 8)]),
 }
 
 

@@ -1,0 +1,83 @@
+"""`tools/bench_pairs.py`'s summary: the gain rule, the regression flags and
+the failed-operation shares that a comparison of two revisions is judged by."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _load()
+BETTER = {"windows_per_s": "higher", "peak_rss_mb": "lower"}
+BOUNDS = {"windows_per_s": 0.25, "peak_rss_mb": 0.1}
+
+
+def _run(rate, rss, failed=0, attempted=100):
+    return {"failed": failed, "attempted": attempted,
+            "metrics": {"windows_per_s": rate, "peak_rss_mb": rss}}
+
+
+def _pairs(parent_rates, change_rates, parent_failed=(), change_failed=()):
+    parent_failed = list(parent_failed) or [0] * len(parent_rates)
+    change_failed = list(change_failed) or [0] * len(change_rates)
+    return [{"parent": _run(a, 80.0, fa), "change": _run(b, 80.0, fb)}
+            for a, b, fa, fb in zip(parent_rates, change_rates, parent_failed, change_failed)]
+
+
+def test_a_clear_gain_meets_the_gain_rule_and_trips_no_gate():
+    parent = [100.0, 101.0, 99.0, 100.5, 100.2, 99.8, 100.1, 100.4, 99.9, 100.3]
+    summary = bench_pairs.summarize(_pairs(parent, [r * 1.15 for r in parent]), BETTER, BOUNDS)
+    rate = summary["metrics"]["windows_per_s"]
+    assert rate["change_wins"] == 10 and rate["gain_rule_holds"]
+    assert not rate["worse_beyond_bound"] and not rate["unresolved"]
+    assert summary["metrics"]["peak_rss_mb"]["change_wins"] == 0  # ties count for neither
+    assert summary["operations"] == {
+        "parent": {"failed": 0, "attempted": 1000, "share": 0.0},
+        "change": {"failed": 0, "attempted": 1000, "share": 0.0},
+        "more_failures": False,
+    }
+
+
+def test_eight_wins_in_ten_do_not_meet_the_gain_rule():
+    parent = [100.0] * 10
+    change = [120.0] * 8 + [90.0] * 2
+    rate = bench_pairs.summarize(_pairs(parent, change), BETTER, BOUNDS)["metrics"]["windows_per_s"]
+    assert rate["change_wins"] == 8 and rate["parent_wins"] == 2
+    assert not rate["gain_rule_holds"]
+
+
+def test_a_drop_beyond_the_bound_is_flagged():
+    parent = [100.0] * 4
+    rate = bench_pairs.summarize(_pairs(parent, [70.0] * 4), BETTER, BOUNDS)["metrics"]
+    assert rate["windows_per_s"]["worse_beyond_bound"]
+
+
+@pytest.mark.parametrize("parent_failed, change_failed, more", [
+    ([0, 0, 0], [0, 1, 0], True),
+    ([2, 0, 0], [0, 1, 1], False),
+    ([1, 0, 0], [0, 0, 0], False),
+])
+def test_more_failures_compares_each_sides_failed_share(parent_failed, change_failed, more):
+    pairs = _pairs([100.0] * 3, [110.0] * 3, parent_failed, change_failed)
+    ops = bench_pairs.summarize(pairs, BETTER, BOUNDS)["operations"]
+    assert ops["parent"]["failed"] == sum(parent_failed)
+    assert ops["change"]["failed"] == sum(change_failed)
+    assert ops["change"]["share"] == pytest.approx(sum(change_failed) / 300)
+    assert ops["more_failures"] is more
+
+
+def test_a_share_counts_attempts_not_runs():
+    # the change fails as often as the parent, but on twice the operations
+    pairs = [{"parent": _run(100.0, 80.0, failed=1, attempted=100),
+              "change": _run(110.0, 80.0, failed=1, attempted=200)}]
+    ops = bench_pairs.summarize(pairs, BETTER, BOUNDS)["operations"]
+    assert ops["change"]["share"] == 0.005 and not ops["more_failures"]

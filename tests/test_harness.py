@@ -515,6 +515,8 @@ def _synthetic(**fields):
     {"optimizer": {"lr": True, "epochs": 1}},
     {"optimizer": {"lr": 1e-3, "epochs": 1, "server_lr": True}},
     {"optimizer": {"lr": 1e-3, "epochs": 0}},
+    {"dataset": {"synthetic": {"n_vars": 4, "length": 1000},
+                 "split": {"train": "a", "val": 0.1, "test": 0.2}}},
 ])
 def test_cli_rejects_bad_values_with_exit_2_before_any_io(tmp_path, capsys, monkeypatch,
                                                           overrides):
@@ -534,6 +536,37 @@ def test_cli_rejects_a_config_that_is_not_an_object_with_exit_2(tmp_path, capsys
     path.write_text(text)
     assert cli_main(["train-fed", "--config", str(path)]) == 2
     assert "must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["{", '{"D": }'])
+def test_cli_rejects_malformed_json_with_exit_2_naming_the_file(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert cli_main(["train-fed", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(path) in err
+
+
+@pytest.mark.parametrize("value", ["a", None, [0.7], True])
+def test_a_split_fraction_of_the_wrong_type_is_named_by_its_field(value):
+    raw = {"dataset": {"synthetic": {"n_vars": 4, "length": 1000},
+                       "split": {"train": value, "val": 0.1, "test": 0.2}}}
+    with pytest.raises(ConfigError, match=r"^dataset\.split\.train=.* must be a number$"):
+        ExperimentConfig.from_dict(raw)
+
+
+def test_cli_diverging_run_exits_1_naming_node_and_step_and_writes_nothing(tmp_path, capsys):
+    # lr 1e300 makes the first Adam step overflow the weights, so the
+    # second forward pass of node 0 is the first to produce non-finite values
+    path = _write_config(tmp_path, L=2, network={"n_nodes": 2, "strides": [1, 1], "T": 16,
+                                                   "S": 4, "PL": 4},
+                         optimizer={"lr": 1e300, "epochs": 1})
+    with np.errstate(all="ignore"):
+        assert cli_main(["train-fed", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert ("error: node 0 diverged at step 1: multi_head_attention produced "
+            "non-finite values from finite inputs") in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_gradcheck_needs_no_config(tmp_path):

@@ -22,6 +22,11 @@ gets the regression gate's two flags, relative to the metric's bound in
   every run of the parent, so the pairs cannot tell "unchanged" from a
   regression.
 
+Each workload's summary also holds each side's failed and attempted
+operations over all its runs, and `more_failures`: whether the change's
+share of failed operations is larger than the parent's, which the gate
+counts against a change as well.
+
 Standard library only; nothing under `perfbench/` is imported.
 """
 
@@ -83,9 +88,20 @@ def quartiles(values: list) -> tuple:
     return q1, q2, q3
 
 
+def failure_share(runs: list) -> dict:
+    """Failed and attempted operations summed over `runs`, and their ratio."""
+    failed = sum(r["failed"] for r in runs)
+    attempted = sum(r["attempted"] for r in runs)
+    return {"failed": failed, "attempted": attempted,
+            "share": failed / attempted if attempted else 0.0}
+
+
 def summarize(pairs: list, better: dict, bounds: dict) -> dict:
-    """Per metric: both sides' medians and quartiles, pair wins, the gain rule and,
-    for the end-to-end metrics named in `bounds`, the regression gate's flags."""
+    """Both sides' failed/attempted operations and, per metric: both sides' medians
+    and quartiles, pair wins, the gain rule and, for the end-to-end metrics named in
+    `bounds`, the regression gate's flags."""
+    operations = {side: failure_share([p[side] for p in pairs]) for side in ("parent", "change")}
+    operations["more_failures"] = operations["change"]["share"] > operations["parent"]["share"]
     summary = {}
     for name, direction in better.items():
         both = [(p["parent"]["metrics"].get(name), p["change"]["metrics"].get(name))
@@ -118,7 +134,7 @@ def summarize(pairs: list, better: dict, bounds: dict) -> dict:
                 worse_beyond_bound=sign * (pm - cm) > bound * abs(pm),
                 unresolved=spread > bound and not all_better,
             )
-    return summary
+    return {"operations": operations, "metrics": summary}
 
 
 def main(argv=None) -> int:
@@ -161,8 +177,13 @@ def main(argv=None) -> int:
         pairs = [p for p in record["pairs"] if p["workload"] == workload]
         record["summary"][workload] = summarize(pairs, better, bounds)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
-    for workload, metrics in record["summary"].items():
-        for name, s in metrics.items():
+    for workload, summary in record["summary"].items():
+        ops = summary["operations"]
+        print(f"{workload:<18} operations failed: parent {ops['parent']['failed']}/"
+              f"{ops['parent']['attempted']}  change {ops['change']['failed']}/"
+              f"{ops['change']['attempted']}  more failures: "
+              f"{'yes' if ops['more_failures'] else 'no'}")
+        for name, s in summary["metrics"].items():
             flags = ""
             if "bound" in s:
                 flags = (f"  worse beyond bound {'yes' if s['worse_beyond_bound'] else 'no'}"

@@ -15,6 +15,7 @@ and says what changed and why:
     PYTHONPATH=src python tests/test_float_rounding.py
 """
 
+import copy
 import json
 import math
 from pathlib import Path
@@ -50,7 +51,7 @@ RUNS = {
 def run_metrics(case: str, out_dir: Path) -> dict:
     """The `metrics.json` content of one run, without the release name it records."""
     mode, server_kind = RUNS[case]
-    raw = json.loads(json.dumps(CONFIG))
+    raw = copy.deepcopy(CONFIG)
     raw["optimizer"]["server_kind"] = server_kind
     config = ExperimentConfig.from_dict({**raw, "mode": mode, "out_dir": str(out_dir)})
     run_experiment(config)
@@ -122,11 +123,11 @@ def test_m2m_and_u2u_forecasts_match_the_record(expected):
 
 
 def test_the_comparison_rejects_a_relative_change_of_1e_9(expected):
-    moved = json.loads(json.dumps(expected["forecasts"]))
+    moved = copy.deepcopy(expected["forecasts"])
     moved["u2u"][1][2] *= 1.0 + 1e-9
     with pytest.raises(AssertionError, match=r"forecasts.u2u\[1\]\[2\]"):
         assert_matches(moved, expected["forecasts"], "forecasts")
-    moved = json.loads(json.dumps(expected["runs"]["central"]))
+    moved = copy.deepcopy(expected["runs"]["central"])
     moved["nodes"][0]["node_id"] = 1
     with pytest.raises(AssertionError, match="node_id"):
         assert_matches(moved, expected["runs"]["central"], "central")

@@ -31,23 +31,16 @@ class RawDataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Chronological train/val/test fractions."""
+    """Chronological train/val/test fractions; the config reader checks each is positive."""
 
     train: float = 0.7
     val: float = 0.1
     test: float = 0.2
 
     def __post_init__(self):
-        for name, frac in (("train", self.train), ("val", self.val), ("test", self.test)):
-            # the type first, so a string is not rejected by its comparison
-            if isinstance(frac, bool) or not isinstance(frac, (int, float)):
-                raise ConfigError(f"dataset.split.{name}={frac!r} must be a number")
-            if not frac > 0:  # also rejects NaN
-                raise ConfigError(f"dataset.split.{name}={frac} must be positive")
-        if abs(self.train + self.val + self.test - 1.0) > 1e-9:
-            raise ConfigError(
-                f"split fractions must sum to 1, got {self.train + self.val + self.test}"
-            )
+        total = self.train + self.val + self.test
+        if abs(total - 1.0) > 1e-9:
+            raise ConfigError(f"dataset.split.train + val + test = {total}, not 1")
 
     def boundaries(self, n_rows: int) -> tuple:
         """Row indices (train_end, val_end); test runs to the end."""
@@ -170,6 +163,10 @@ def assign_variable_subsets(
     return assignments
 
 
+# the keys of a synthetic spec, with the least value of each
+SYNTHETIC_MINIMA = {"n_vars": 2, "length": 1000, "seed": 0}
+
+
 def generate_synthetic(
     n_vars: int,
     length: int,
@@ -186,10 +183,9 @@ def generate_synthetic(
     weight, lag) triples) plus its own seasonal term and noise. Column 0
     is the target.
     """
-    if n_vars < 2:
-        raise ConfigError(f"need at least 2 variables, got {n_vars}")
-    if length < 1000:
-        raise ConfigError(f"need at least 1000 rows, got {length}")
+    for name, value in (("n_vars", n_vars), ("length", length)):
+        if value < SYNTHETIC_MINIMA[name]:
+            raise ConfigError(f"{name}={value} must be >= {SYNTHETIC_MINIMA[name]}")
     rng = np.random.default_rng(seed)
     n_aux = n_vars - 1
 

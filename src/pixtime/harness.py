@@ -8,9 +8,9 @@ log CSV (which carries the only wall-clock fields).
 """
 
 import json
-import math
+import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 from typing import get_args
 
@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .autodiff import mse, no_grad
 from .data import (
+    SYNTHETIC_MINIMA,
     NodeDataView,
     RawDataset,
     SplitSpec,
@@ -44,175 +45,158 @@ from .optim import grad_check
 # configuration
 # ---------------------------------------------------------------------------
 
-# the keys a dataset.synthetic block may hold, with the least value of each
-SYNTHETIC_MINIMA = {"n_vars": 2, "length": 1000, "seed": 0}
-
-MODES = (
-    "central",
-    "federated",
-    "evaluate",
-    "gradcheck",
-    "ablate-granularity",
-    "ablate-ve",
-)
-
-
 @dataclass
 class OptimizerConfig:
     lr: float = 1e-4
-    batch_size: int = 32
-    epochs: int = 10
-    server_kind: str = "sgd"
+    batch_size: int = field(default=32, metadata={"min": 1})
+    epochs: int = field(default=10, metadata={"min": 1})
+    server_kind: str = field(default="sgd", metadata={"choices": ("sgd", "adam")})
     server_lr: float | None = None
 
 
 @dataclass
 class NetworkConfig:
-    n_nodes: int = 2
-    strides: list = field(default_factory=lambda: [1, 1])
-    subset_size: int | None = None
-    T: int = 96
-    S: int = 24
-    PL: int = 16
-    target_id: int = 0
+    n_nodes: int = field(default=2, metadata={"min": 1})
+    strides: list = field(default_factory=lambda: [1, 1], metadata={"min": 1})
+    subset_size: int | None = field(default=None, metadata={"min": 1})
+    T: int = field(default=96, metadata={"min": 1})
+    S: int = field(default=24, metadata={"min": 1})
+    PL: int = field(default=16, metadata={"min": 1})
+    target_id: int = field(default=0, metadata={"min": 0})
 
 
 @dataclass
 class DatasetConfig:
     csv: str | None = None
-    synthetic: dict | None = None
+    # the seed defaults to the run seed
+    synthetic: dict | None = field(
+        default=None, metadata={"min": SYNTHETIC_MINIMA, "optional": ("seed",)}
+    )
     split: SplitSpec = field(default_factory=SplitSpec)
 
 
 @dataclass
 class ExperimentConfig:
-    mode: str = "federated"
+    mode: str = field(default="federated", metadata={"choices": (
+        "central", "federated", "evaluate", "gradcheck", "ablate-granularity", "ablate-ve",
+    )})
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
-    D: int = 32
-    L: int = 2
-    H: int = 4
-    d_ff: int = 64
+    D: int = field(default=32, metadata={"min": 1})
+    L: int = field(default=2, metadata={"min": 1})
+    H: int = field(default=4, metadata={"min": 1})
+    d_ff: int = field(default=64, metadata={"min": 1})
     network: NetworkConfig = field(default_factory=NetworkConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    rounds: int = 10
-    seed: int = 0
+    rounds: int = field(default=10, metadata={"min": 0})
+    seed: int = field(default=0, metadata={"min": 0})
     out_dir: str = "runs/out"
     use_ve: bool = True
-    n_seeds: int = 3
-    ablation_stride: int = 4
-    subset_sizes: list = field(default_factory=list)
+    n_seeds: int = field(default=3, metadata={"min": 1})
+    ablation_stride: int = field(default=4, metadata={"min": 1})
+    subset_sizes: list = field(default_factory=list, metadata={"min": 1})
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        def build(factory, block, label):
-            if not isinstance(block, dict):
-                raise ConfigError(f"the {label} block {block!r} must be an object")
-            try:
-                return factory(**block)
-            except TypeError as exc:
-                raise ConfigError(f"invalid {label} block: {exc}") from None
-
-        raw = dict(raw)
-        kwargs = {}
-        if "dataset" in raw:
-            ds = kwargs["dataset"] = build(DatasetConfig, raw.pop("dataset"), "dataset")
-            if not isinstance(ds.split, SplitSpec):
-                ds.split = build(SplitSpec, ds.split, "split")
-        if "network" in raw:
-            kwargs["network"] = build(NetworkConfig, raw.pop("network"), "network")
-        if "optimizer" in raw:
-            kwargs["optimizer"] = build(OptimizerConfig, raw.pop("optimizer"), "optimizer")
-        known = set(cls.__dataclass_fields__)
-        for key, value in raw.items():
-            if key not in known:
-                raise ConfigError(f"unknown config key {key!r}")
-            kwargs[key] = value
-        cfg = cls(**kwargs)
+        cfg = _build(cls, raw)
         cfg.validate()
         return cfg
 
     def validate(self) -> None:
-        net, opt, ds = self.network, self.optimizer, self.dataset
-        for block in (self, ds, ds.split, net, opt):
-            _check_types(block)
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        # (label, value, minimum) for every integer field, checked before
-        # any of them is used as a divisor
-        bounds = [
-            ("D", self.D, 1), ("L", self.L, 1), ("H", self.H, 1), ("d_ff", self.d_ff, 1),
-            ("rounds", self.rounds, 0), ("seed", self.seed, 0), ("n_seeds", self.n_seeds, 1),
-            ("ablation_stride", self.ablation_stride, 1),
-            ("n_nodes", net.n_nodes, 1), ("T", net.T, 1), ("S", net.S, 1), ("PL", net.PL, 1),
-            ("target_id", net.target_id, 0),
-            ("batch_size", opt.batch_size, 1), ("epochs", opt.epochs, 1),
-        ]
-        if net.subset_size is not None:
-            bounds.append(("subset_size", net.subset_size, 1))
-        # list elements and synthetic values, whose types _check_types cannot see
-        elements = [("stride", k, 1) for k in net.strides]
-        elements += [("subset_size", n, 1) for n in self.subset_sizes]
-        spec = ds.synthetic
-        if spec is not None:
-            if not {"n_vars", "length"} <= set(spec) <= set(SYNTHETIC_MINIMA):
-                raise ConfigError(
-                    f"synthetic spec {spec!r} must hold n_vars, length and an optional seed"
-                )
-            elements += [(f"synthetic.{k}", v, SYNTHETIC_MINIMA[k]) for k, v in spec.items()]
-        elif ds.csv is None and self.mode != "gradcheck":  # gradcheck reads no data
-            raise ConfigError("dataset requires either a csv path or a synthetic spec")
-        for label, value, _ in elements:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{label}={value!r} must be an integer")
-        for label, value, low in bounds + elements:
-            if value < low:
-                raise ConfigError(f"{label}={value} must be >= {low}")
+        """The rules between fields; `_build` has checked each field on its own."""
+        net, ds = self.network, self.dataset
+        if ds.csv is None and ds.synthetic is None and self.mode != "gradcheck":
+            # gradcheck reads no data
+            raise ConfigError("dataset needs a dataset.csv path or a dataset.synthetic spec")
         if self.D % self.H != 0:
             raise ConfigError(f"D={self.D} is not divisible by H={self.H} heads")
-        rates = {"lr": opt.lr}
-        if opt.server_lr is not None:
-            rates["server_lr"] = opt.server_lr
-        for label, value in rates.items():
-            if not 0 < value < math.inf:
-                raise ConfigError(f"{label}={value!r} must be a positive finite number")
-        make_server_optimizer(opt.server_kind)  # rejects an unknown kind
         if len(net.strides) != net.n_nodes:
             raise ConfigError(
-                f"{net.n_nodes} nodes need {net.n_nodes} strides, got {len(net.strides)}"
+                f"network.n_nodes={net.n_nodes} needs as many network.strides, got {net.strides}"
             )
         if net.T % net.PL != 0:
-            raise ConfigError(f"T={net.T} is not a multiple of PL={net.PL}")
-        for k in net.strides:
+            raise ConfigError(f"network.T={net.T} is not a multiple of network.PL={net.PL}")
+        for i, k in enumerate(net.strides):
             for label, base in (("T", net.T), ("S", net.S), ("PL", net.PL)):
                 if base % k != 0:
                     raise ConfigError(
-                        f"stride {k} does not divide {label}={base}; granularity "
-                        "pairing needs integral window lengths"
+                        f"network.strides[{i}]={k} does not divide network.{label}={base}; "
+                        "granularity pairing needs integral window lengths"
                     )
-        if ds.csv is None and spec is not None:
+        if ds.csv is None and ds.synthetic is not None:
             # a synthetic dataset's width is known before any data exists
-            n_vars = spec["n_vars"]
-            sizes = [n for n in [net.subset_size] + self.subset_sizes if n is not None]
-            widths = [("target_id", net.target_id)] + [("subset_size", n) for n in sizes]
+            n_vars = ds.synthetic["n_vars"]
+            widths = [("network.target_id", net.target_id),
+                      ("network.subset_size", net.subset_size)]
+            widths += [(f"subset_sizes[{i}]", n) for i, n in enumerate(self.subset_sizes)]
             for label, value in widths:
-                if value >= n_vars:
+                if value is not None and value >= n_vars:
                     raise ConfigError(
-                        f"{label}={value} must be < n_vars={n_vars} of the synthetic dataset"
+                        f"{label}={value} must be < dataset.synthetic.n_vars={n_vars}"
                     )
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def _check_types(block) -> None:
-    """Reject a field whose value is not of its declared type; a float field takes an int."""
-    for f in fields(block):
-        value = getattr(block, f.name)
-        kinds = get_args(f.type) or (f.type,)
-        kinds = ((int,) if float in kinds else ()) + kinds
-        if isinstance(value, bool) and bool not in kinds or not isinstance(value, kinds):
-            names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
-            raise ConfigError(f"{f.name}={value!r} must be {names}")
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
+               list: "a list", dict: "an object", type(None): "null"}
+
+
+def _build(cls, raw, path: str = ""):
+    """The config block `cls` at dotted `path`, built from its raw JSON object.
+
+    Each key must name a field. A nested block is built before its parent,
+    so no `__post_init__` meets a value that `_check` has not passed.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path or 'config'}={raw!r} must be an object")
+    prefix = f"{path}." if path else ""
+    kwargs = {}
+    for key, value in raw.items():
+        f = cls.__dataclass_fields__.get(key)
+        if f is None:
+            raise ConfigError(f"unknown config key {prefix}{key}")
+        if is_dataclass(f.type):
+            value = _build(f.type, value, prefix + key)
+        else:
+            _check(prefix + key, value, f.type, f.metadata)
+        kwargs[key] = value
+    return cls(**kwargs)
+
+
+def _check(path: str, value, declared, meta) -> None:
+    """Reject the value at `path` unless it has its `declared` type, then its bound.
+
+    A number must be positive and finite; a float field also takes an
+    integer. `meta` may declare a "min" for an integer, for each integer
+    of a list, or per key of a dict, which may hold only those keys and
+    must hold all but its "optional" ones; or the "choices" of a string.
+    """
+    kinds = get_args(declared) or (declared,)
+    allowed = kinds + (int,) if float in kinds else kinds
+    if isinstance(value, bool) and bool not in kinds or not isinstance(value, allowed):
+        names = " or ".join(_TYPE_NAMES[k] for k in kinds)
+        raise ConfigError(f"{path}={value!r} must be {names}")
+    if value is None:
+        return
+    low = meta.get("min")
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            _check(f"{path}[{i}]", item, int, {"min": low})
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            if key not in low:
+                raise ConfigError(f"unknown config key {path}.{key}")
+            _check(f"{path}.{key}", item, int, {"min": low[key]})
+        for key in sorted(low.keys() - value.keys() - set(meta["optional"])):
+            raise ConfigError(f"{path}.{key} is required")
+    elif float in kinds:
+        if not 0 < value <= sys.float_info.max:  # also NaN, and an int no float holds
+            raise ConfigError(f"{path}={value!r} must be positive and finite")
+    elif low is not None and value < low:
+        raise ConfigError(f"{path}={value} must be >= {low}")
+    elif "choices" in meta and value not in meta["choices"]:
+        raise ConfigError(f"{path}={value!r} must be one of {', '.join(meta['choices'])}")
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +272,7 @@ def build_nodes(config: ExperimentConfig, standardized: np.ndarray,
     net = config.network
     all_ids = list(range(dims.n_all))
     if net.target_id >= dims.n_all:
-        raise ConfigError(
-            f"target id {net.target_id} outside the {dims.n_all}-column dataset"
-        )
+        raise ConfigError(f"network.target_id={net.target_id} must be < the {dims.n_all} columns")
     if net.subset_size is None:
         aux = [v for v in all_ids if v != net.target_id]
         subsets = [list(aux) for _ in range(net.n_nodes)]
@@ -509,7 +491,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     The metrics JSON carries only replay-deterministic content; wall
     clock goes to the round log.
     """
-    config.validate()
+    ExperimentConfig.from_dict(config.to_dict())  # a config built directly is checked too
     t0 = time.perf_counter()
     round_rows: list = []
     metrics: dict = {
@@ -518,22 +500,24 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "seed": config.seed,
     }
 
-    if config.mode == "gradcheck":
-        metrics["gradcheck"] = gradcheck_experiment(config)
-    elif config.mode in ("central", "federated"):
-        trained = config
-        if config.mode == "central":  # node 0 alone, with the same epoch budget
-            trained = _solo(config, config.network.strides[0])
-        nodes, records = _train_federated(trained, config.seed)
-        round_rows = _round_rows(records)
-        metrics.update(_node_report(nodes))
-    elif config.mode == "evaluate":
-        nodes, _ = _prepare(config, config.seed)
-        metrics.update(_node_report(nodes))
-    elif config.mode == "ablate-granularity":
-        metrics["granularity"] = ablate_granularity(config)
-    elif config.mode == "ablate-ve":
-        metrics["ve"] = ablate_ve(config)
+    # a diverging run is reported by the op that first yields a non-finite value
+    with np.errstate(over="ignore", invalid="ignore"):
+        if config.mode == "gradcheck":
+            metrics["gradcheck"] = gradcheck_experiment(config)
+        elif config.mode in ("central", "federated"):
+            trained = config
+            if config.mode == "central":  # node 0 alone, with the same epoch budget
+                trained = _solo(config, config.network.strides[0])
+            nodes, records = _train_federated(trained, config.seed)
+            round_rows = _round_rows(records)
+            metrics.update(_node_report(nodes))
+        elif config.mode == "evaluate":
+            nodes, _ = _prepare(config, config.seed)
+            metrics.update(_node_report(nodes))
+        elif config.mode == "ablate-granularity":
+            metrics["granularity"] = ablate_granularity(config)
+        elif config.mode == "ablate-ve":
+            metrics["ve"] = ablate_ve(config)
 
     write_outputs(config.out_dir, config, metrics, round_rows)
     return ExperimentResult(

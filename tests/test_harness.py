@@ -4,6 +4,7 @@ import copy
 import csv
 import json
 import re
+import warnings
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import get_args
@@ -15,10 +16,9 @@ from hypothesis import strategies as st
 
 from pixtime import ExperimentConfig, evaluate, persistence_baseline, run_experiment
 from pixtime.cli import main as cli_main
-from pixtime.data import NodeDataView, SplitSpec, build_node_views
+from pixtime.data import SYNTHETIC_MINIMA, NodeDataView, SplitSpec, build_node_views
 from pixtime.errors import ConfigError, EvaluationError
 from pixtime.harness import (
-    SYNTHETIC_MINIMA,
     DatasetConfig,
     Metrics,
     NetworkConfig,
@@ -159,15 +159,78 @@ def test_property_base_config_is_valid_and_sets_every_leaf():
 @settings(deadline=None, max_examples=400)
 @given(path=st.sampled_from(LEAF_PATHS), value=JSON_VALUES)
 def test_any_json_value_in_any_field_is_rejected_or_typed(path, value):
-    """One field set to any value json.load can return: a ConfigError, or
-    a config whose every field has its declared type; never another error."""
+    """One field set to any value json.load can return: a ConfigError that
+    names the field, or a config whose every field has its declared type;
+    never another error."""
     raw = copy.deepcopy(VALID_RAW)
     _leaf_block(raw, path)[path[-1]] = value
     try:
         config = ExperimentConfig.from_dict(raw)
-    except ConfigError:
+    except ConfigError as exc:
+        assert path[-1] in str(exc), (path, value, str(exc))
         return
     _assert_declared_types(config)
+
+
+# the least value of every integer a config holds, as the README's
+# "Configuration" notes document it; a list field stands for its elements
+DOCUMENTED_MINIMA = {
+    "D": 1, "L": 1, "H": 1, "d_ff": 1, "rounds": 0, "seed": 0, "n_seeds": 1,
+    "ablation_stride": 1, "subset_sizes[0]": 1,
+    "network.n_nodes": 1, "network.strides[0]": 1, "network.subset_size": 1,
+    "network.T": 1, "network.S": 1, "network.PL": 1, "network.target_id": 0,
+    "optimizer.batch_size": 1, "optimizer.epochs": 1,
+    "dataset.synthetic.n_vars": 2, "dataset.synthetic.length": 1000, "dataset.synthetic.seed": 0,
+}
+
+
+def _raw_with(dotted: str, value) -> dict:
+    """VALID_RAW with the value at `dotted` set; `name[0]` is a list's first element."""
+    raw = copy.deepcopy(VALID_RAW)
+    *blocks, leaf = dotted.split(".")
+    block = raw
+    for key in blocks:
+        block = block[key]
+    if leaf.endswith("[0]"):
+        leaf = leaf[:-3]
+        block[leaf] = [value] + block[leaf][1:]
+    else:
+        block[leaf] = value
+    return raw
+
+
+def test_the_minima_table_covers_every_integer_leaf():
+    declared = {path + (f.name,): f.type for path, cls in CONFIG_BLOCKS for f in fields(cls)}
+    integers = set()
+    for path in LEAF_PATHS:
+        kind = declared.get(path, int)  # a synthetic key holds an integer
+        kinds = get_args(kind) or (kind,)
+        if list in kinds:  # every list field holds integers
+            integers.add(".".join(path) + "[0]")
+        elif int in kinds:
+            integers.add(".".join(path))
+    assert integers == set(DOCUMENTED_MINIMA)
+
+
+@pytest.mark.parametrize("path, low", DOCUMENTED_MINIMA.items())
+def test_every_integer_rejects_one_below_its_documented_minimum(path, low):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)}={low - 1} must be >= {low}$"):
+        ExperimentConfig.from_dict(_raw_with(path, low - 1))
+    try:  # the minimum itself is not out of bounds (another rule may still reject it)
+        ExperimentConfig.from_dict(_raw_with(path, low))
+    except ConfigError as exc:
+        assert not str(exc).startswith(f"{path}={low} must be >="), str(exc)
+
+
+@pytest.mark.parametrize("path", [
+    "optimizer.lr", "optimizer.server_lr",
+    "dataset.split.train", "dataset.split.val", "dataset.split.test",
+])
+@pytest.mark.parametrize("value", [0, -1, 0.0, float("nan"), float("inf"),
+                                   pytest.param(10**400, id="10**400")])
+def test_every_number_must_be_positive_and_finite(path, value):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)}=.* must be positive and finite$"):
+        ExperimentConfig.from_dict(_raw_with(path, value))
 
 
 def test_oversized_subset_rejected_at_build(tmp_path):
@@ -561,7 +624,8 @@ def test_cli_diverging_run_exits_1_naming_node_and_step_and_writes_nothing(tmp_p
     path = _write_config(tmp_path, L=2, network={"n_nodes": 2, "strides": [1, 1], "T": 16,
                                                    "S": 4, "PL": 4},
                          optimizer={"lr": 1e300, "epochs": 1})
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the error line is the only report
         assert cli_main(["train-fed", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert ("error: node 0 diverged at step 1: multi_head_attention produced "

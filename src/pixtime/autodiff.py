@@ -134,8 +134,8 @@ def as_tensor(x) -> Tensor:
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable, op: str) -> Tensor:
     """Wrap a forward result, attaching it to the tape when needed."""
-    if not np.all(np.isfinite(data)):
-        if all(np.all(np.isfinite(p.data)) for p in parents):
+    if not np.isfinite(data).all():
+        if all(np.isfinite(p.data).all() for p in parents):
             raise NumericError(f"{op} produced non-finite values from finite inputs")
         raise NumericError(f"{op} received non-finite input values")
     out = Tensor(data)

@@ -125,14 +125,17 @@ class ExperimentConfig:
         if ds.csv is None and ds.synthetic is not None:
             # a synthetic dataset's width is known before any data exists
             n_vars = ds.synthetic["n_vars"]
-            widths = [("network.target_id", net.target_id),
-                      ("network.subset_size", net.subset_size)]
-            widths += [(f"subset_sizes[{i}]", n) for i, n in enumerate(self.subset_sizes)]
-            for label, value in widths:
-                if value is not None and value >= n_vars:
-                    raise ConfigError(
-                        f"{label}={value} must be < dataset.synthetic.n_vars={n_vars}"
-                    )
+            self.check_width(n_vars, f"dataset.synthetic.n_vars={n_vars}")
+
+    def check_width(self, n_vars: int, width: str) -> None:
+        """Reject a target id or subset size that `n_vars` columns (named `width`) cannot hold."""
+        net = self.network
+        widths = [("network.target_id", net.target_id),
+                  ("network.subset_size", net.subset_size)]
+        widths += [(f"subset_sizes[{i}]", n) for i, n in enumerate(self.subset_sizes)]
+        for label, value in widths:
+            if value is not None and value >= n_vars:
+                raise ConfigError(f"{label}={value} must be < {width}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -260,7 +263,11 @@ def persistence_baseline(view: NodeDataView) -> Metrics:
 def load_dataset(config: ExperimentConfig) -> RawDataset:
     ds = config.dataset
     if ds.csv is not None:
-        return load_csv(ds.csv)
+        raw = load_csv(ds.csv)
+        # a csv's width is known only now, still before any training
+        n_vars = raw.values.shape[1]
+        config.check_width(n_vars, f"the {n_vars} columns of dataset.csv={ds.csv}")
+        return raw
     spec = dict(ds.synthetic)
     spec.setdefault("seed", config.seed)
     return generate_synthetic(**spec)
@@ -271,8 +278,6 @@ def build_nodes(config: ExperimentConfig, standardized: np.ndarray,
     """Instantiate the federated nodes described by the network block."""
     net = config.network
     all_ids = list(range(dims.n_all))
-    if net.target_id >= dims.n_all:
-        raise ConfigError(f"network.target_id={net.target_id} must be < the {dims.n_all} columns")
     if net.subset_size is None:
         aux = [v for v in all_ids if v != net.target_id]
         subsets = [list(aux) for _ in range(net.n_nodes)]

@@ -21,7 +21,10 @@ the patch tokens through the next layer's self-attention, so auxiliary
 information influences the forecast when the decoder has at least two
 layers (the default harness configuration uses L=2). The projection reads
 only the patch tokens, so the last decoder layer has no cross-attention
-and queries with the patch rows alone.
+and queries with the patch rows alone. The decoder and the head run in
+blocks of at most DECODE_BLOCK target sequences along the window axis
+(`PiXTime.decode`); the variable embedding, the encoder and the patch
+embedding run on the whole batch.
 """
 
 import math
@@ -41,6 +44,11 @@ from .autodiff import (
 from .errors import CategoryError, ConfigError, PartitionError, ShapeError
 
 LN_EPS = 1e-5
+# Target sequences per decoder block: at M + 1 = 7, d_ff = 64 a block's FFN
+# hidden array (0.9 MB) fits a 2 MiB L2 cache, where a batch-256 m2m pass at
+# C = 7 made 7.3 MB arrays that malloc handed back to the kernel every batch.
+# A training step and a batch-256 m2u or u2u forecast are one block.
+DECODE_BLOCK = 256
 
 SHARED_ROOTS = frozenset({"ve_table", "aux_encoder", "target_decoder"})
 LOCAL_ROOTS = frozenset({"patch_linear", "abstract_token", "ve_linear", "projection"})
@@ -344,22 +352,50 @@ class PiXTime:
         flat = ad.reshape(tokens, tokens.shape[:-2] + (self.node.M * self.dims.D,))
         return ad.linear(flat, self.proj_w, self.proj_b)
 
+    def decode(self, tokens: Tensor, v_aux: Tensor) -> Tensor:
+        """Decoder layers and projection: (..., M + 1, D) tokens -> (..., S).
+
+        Runs in blocks of at most DECODE_BLOCK target sequences along the
+        leading (window) axis, cut with `slice_axis` and joined with
+        `concat`, so the tape still holds the whole batch. A block holds
+        at least one window. `v_aux` is cut with the tokens when its
+        leading axis is theirs, and is broadcast to every block when that
+        axis has size 1. Tokens with no window axis, or with fewer axes
+        than `v_aux`, run as one block. The forecasts equal one pass's bit
+        for bit at the harness's shapes; a block with a short leading axis
+        may reach another numpy product kernel and differ by rounding.
+        """
+        n = tokens.shape[0]
+        step = max(1, DECODE_BLOCK // math.prod(tokens.shape[1:-2]))
+        if tokens.ndim < 3 or v_aux.ndim > tokens.ndim or n <= step:
+            return self._decode_block(tokens, v_aux)
+        cut = v_aux.ndim == tokens.ndim and v_aux.shape[0] != 1
+        blocks = []
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            v = ad.slice_axis(v_aux, 0, lo, hi) if cut else v_aux
+            blocks.append(self._decode_block(ad.slice_axis(tokens, 0, lo, hi), v))
+        return ad.concat(blocks, axis=0)
+
+    def _decode_block(self, tokens: Tensor, v_aux: Tensor) -> Tensor:
+        for layer in range(self.dims.L):
+            tokens = self.decoder_layer(tokens, v_aux, layer)
+        return self.projection(tokens)
+
     def forward(self, x, Z, var_ids=None) -> Tensor:
         """Full forecast pass: (..., T) target + (..., T, C) auxiliaries -> (..., S)."""
         v_aux = self.variable_embed(Z, var_ids)
         v_enc = self.aux_encoder(v_aux)
-        tokens = self.patch_embed(x)
-        for layer in range(self.dims.L):
-            tokens = self.decoder_layer(tokens, v_enc, layer)
-        return self.projection(tokens)
+        return self.decode(self.patch_embed(x), v_enc)
 
     def m2m_forward(self, all_series, var_ids=None) -> Tensor:
         """Joint forecast of every variable: (..., T, n_var) -> (..., n_var, S).
 
         All variables form the auxiliary set (one encoder pass); each
-        variable is also patch-embedded as a target, and the decoder
-        processes the resulting batch in one pass with every abstract
-        token cross-attending to the same encoded auxiliaries.
+        variable is also patch-embedded as a target, so a window holds
+        n_var target sequences, every abstract token cross-attending to
+        the same encoded auxiliaries. The decoder runs over them in blocks
+        of whole windows (see `decode`).
         """
         series = as_tensor(all_series)
         ids = list(var_ids) if var_ids is not None else [self.node.target_id] + self.node.var_ids
@@ -374,10 +410,7 @@ class PiXTime:
         v_enc = self.aux_encoder(v_aux)
         # keys/values broadcast across the per-variable decoder batch
         v_keys = ad.reshape(v_enc, v_enc.shape[:-2] + (1,) + v_enc.shape[-2:])
-        tokens = self.patch_embed(ad.swapaxes(series, -1, -2))
-        for layer in range(self.dims.L):
-            tokens = self.decoder_layer(tokens, v_keys, layer)
-        return self.projection(tokens)
+        return self.decode(self.patch_embed(ad.swapaxes(series, -1, -2)), v_keys)
 
     def u2u_forward(self, x) -> Tensor:
         """Univariate forecast: the target is copied in as its own auxiliary."""

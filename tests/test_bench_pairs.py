@@ -21,9 +21,10 @@ BETTER = {"windows_per_s": "higher", "peak_rss_mb": "lower"}
 BOUNDS = {"windows_per_s": 0.25, "peak_rss_mb": 0.1}
 
 
-def _run(rate, rss, failed=0, attempted=100):
+def _run(rate, rss, failed=0, attempted=100, reported=None):
     return {"failed": failed, "attempted": attempted,
-            "metrics": {"windows_per_s": rate, "peak_rss_mb": rss}}
+            "metrics": {"windows_per_s": rate, "peak_rss_mb": rss},
+            "reported": reported or {}}
 
 
 def _pairs(parent_rates, change_rates, parent_failed=(), change_failed=()):
@@ -81,3 +82,29 @@ def test_a_share_counts_attempts_not_runs():
               "change": _run(110.0, 80.0, failed=1, attempted=200)}]
     ops = bench_pairs.summarize(pairs, BETTER, BOUNDS)["operations"]
     assert ops["change"]["share"] == 0.005 and not ops["more_failures"]
+
+
+def test_report_lines_are_read_by_name():
+    lines = [
+        "pass 0: setup 0.0123 s, wall 1.000 s, 10 windows, 10 timed operations, failed 0/10",
+        "report: slowdown = 1.0831 1 (median over operations; corrected times are divided by it)",
+        "report: uncorrected.windows_per_s = 4683.2 1/s (raw times)",
+        "report: error_rate = 0 1 (20 operations)",
+        'environment: {"nproc": 2}',
+    ]
+    assert bench_pairs.reported(lines) == {
+        "slowdown": 1.0831, "uncorrected.windows_per_s": 4683.2, "error_rate": 0.0}
+
+
+def test_each_sides_median_slowdown_is_summarized():
+    pairs = [{"parent": _run(100.0, 80.0, reported={"slowdown": a}),
+              "change": _run(110.0, 80.0, reported={"slowdown": b})}
+             for a, b in [(1.0, 1.3), (1.2, 1.1), (1.1, 1.2)]]
+    summary = bench_pairs.summarize(pairs, BETTER, BOUNDS)
+    assert summary["reported"] == {"slowdown": {"parent": 1.1, "change": 1.2}}
+
+
+def test_a_figure_one_side_never_reported_has_no_median():
+    pairs = [{"parent": _run(100.0, 80.0), "change": _run(110.0, 80.0, reported={"wall_s": 2.0})}]
+    summary = bench_pairs.summarize(pairs, BETTER, BOUNDS)
+    assert summary["reported"] == {"wall_s": {"parent": None, "change": 2.0}}

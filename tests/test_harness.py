@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pixtime import ExperimentConfig, evaluate, persistence_baseline, run_experiment
+from pixtime import ExperimentConfig, evaluate, harness, persistence_baseline, run_experiment
 from pixtime.cli import main as cli_main
 from pixtime.data import SYNTHETIC_MINIMA, NodeDataView, SplitSpec, build_node_views
 from pixtime.errors import ConfigError, EvaluationError
@@ -233,20 +233,42 @@ def test_every_number_must_be_positive_and_finite(path, value):
         ExperimentConfig.from_dict(_raw_with(path, value))
 
 
-def test_oversized_subset_rejected_at_build(tmp_path):
-    # a csv's width is known only once it is read, so the check runs at build
+def _four_column_csv(tmp_path):
     rows = ["a,b,c,d"] + [",".join(repr(float(v)) for v in r)
                           for r in np.random.default_rng(0).standard_normal((1000, 4))]
     csv_path = tmp_path / "data.csv"
     csv_path.write_text("\n".join(rows) + "\n")
+    return csv_path
+
+
+def test_oversized_subset_rejected_at_build(tmp_path):
+    # a csv's width is known only once it is read, so the check runs when it is
+    csv_path = _four_column_csv(tmp_path)
     config = small_config(
         tmp_path,
         dataset={"csv": str(csv_path)},
         network={"n_nodes": 2, "strides": [1, 1], "T": 24, "S": 8, "PL": 4,
                  "subset_size": 9},
     )
-    with pytest.raises(ConfigError):
+    message = f"network.subset_size=9 must be < the 4 columns of dataset.csv={csv_path}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         _prepare(config, 0)
+
+
+def test_ablate_ve_rejects_an_oversized_sweep_size_before_any_training(tmp_path, monkeypatch):
+    csv_path = _four_column_csv(tmp_path)
+    config = small_config(
+        tmp_path, mode="ablate-ve", rounds=1, n_seeds=1, subset_sizes=[2, 5],
+        dataset={"csv": str(csv_path)},
+    )
+
+    def train(*args):
+        raise AssertionError("the size-2 sweep trained before size 5 was checked")
+
+    monkeypatch.setattr(harness, "run_federation", train)
+    message = f"subset_sizes[1]=5 must be < the 4 columns of dataset.csv={csv_path}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        harness.ablate_ve(config)
 
 
 # ---------------------------------------------------------------------------

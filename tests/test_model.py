@@ -15,6 +15,7 @@ from pixtime import (
     partition,
     patch_split,
 )
+from pixtime import model as model_module
 from pixtime.errors import CategoryError, ConfigError, ShapeError
 
 
@@ -487,6 +488,106 @@ def test_m2m_batch_matches_per_variable_decoding():
             tokens = model.decoder_layer(tokens, v_enc, layer)
         single = model.projection(tokens).data
         assert np.max(np.abs(batched[col] - single)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# blocked decoding: the decoder runs in blocks of DECODE_BLOCK target sequences
+# ---------------------------------------------------------------------------
+
+def _two_layer_model(seed=24):
+    dims = ModelDims(D=8, L=2, H=2, d_ff=16, n_all=8)
+    cfg = NodeShapeConfig(node_id=0, T=8, S=4, PL=4, var_ids=list(range(1, 8)), target_id=0)
+    return PiXTime(dims, cfg, seed=seed)
+
+
+CALLS = {"forward": lambda m, series: m.forward(series[..., 0], series[..., 1:]),
+         "m2m": lambda m, series: m.m2m_forward(series)}
+
+
+def _decode_both_ways(monkeypatch, mode, lead, block, loss=False):
+    """(output, gradients) of `mode` on inputs with leading shape `lead`, decoded
+    in one block and in blocks of `block` target sequences."""
+    results = []
+    for size in (10**9, block):
+        monkeypatch.setattr(model_module, "DECODE_BLOCK", size)
+        model = _two_layer_model()
+        rng = np.random.default_rng(24)
+        out = CALLS[mode](model, rng.standard_normal(lead + (8, 8)))
+        if loss:
+            backward(mse(out, rng.standard_normal(out.shape)))
+        results.append((out.data, model.grads.copy()))
+    return results
+
+
+# forward decodes 1 sequence per window and m2m 8 (the target and 7 auxiliaries);
+# at these sizes 11 windows make blocks of 4, 4 and 3 windows in both modes
+BLOCKS = {"forward": 4, "m2m": 32}
+
+
+@pytest.mark.parametrize("mode", list(CALLS))
+def test_blocked_decode_equals_one_block_bit_for_bit(monkeypatch, mode):
+    (one, _), (blocked, _) = _decode_both_ways(monkeypatch, mode, (11,), BLOCKS[mode])
+    assert np.array_equal(blocked, one)
+
+
+@pytest.mark.parametrize("mode", list(CALLS))
+def test_blocked_decode_gradients_equal_one_block(monkeypatch, mode):
+    (one, g_one), (blocked, g_blocked) = _decode_both_ways(
+        monkeypatch, mode, (11,), BLOCKS[mode], loss=True)
+    assert np.array_equal(blocked, one)
+    # a parameter's gradient sums the blocks' contributions, in another order
+    # than one GEMM over all rows, so only float rounding separates the two
+    assert np.array_equal(g_blocked == 0.0, g_one == 0.0)
+    np.testing.assert_allclose(g_blocked, g_one, rtol=0, atol=1e-14 * np.abs(g_one).max())
+
+
+# numpy may pick another product kernel for a block whose leading axis is short
+# (a one-row GEMV, a stack it cannot hand to BLAS), so these agree up to rounding
+@pytest.mark.parametrize("mode, lead, block", [
+    ("forward", (), 1),         # (M + 1, D) tokens have no window axis: one block
+    ("m2m", (), 3),             # the variable axis leads: blocks of 3, 3 and 2
+    ("forward", (2, 5), 5),     # 5 sequences per leading index: blocks of 1 index
+    ("m2m", (2, 5), 40),        # 40 per leading index: blocks of 1 index
+])
+def test_blocked_decode_keeps_unbatched_and_two_leading_axes(monkeypatch, mode, lead, block):
+    (one, _), (blocked, _) = _decode_both_ways(monkeypatch, mode, lead, block)
+    assert blocked.shape == one.shape == lead + ((8, 4) if mode == "m2m" else (4,))
+    np.testing.assert_allclose(blocked, one, rtol=1e-13, atol=1e-15)
+
+
+def test_blocked_decode_broadcasts_keys_of_size_one_on_the_leading_axis(monkeypatch):
+    # unbatched m2m: the leading axis is the variable axis, the keys have size 1 there
+    monkeypatch.setattr(model_module, "DECODE_BLOCK", 3)
+    seen = []
+    layer_fn = PiXTime.decoder_layer
+
+    def traced(model, tokens, v_aux, layer, /):  # the benchmark tracer's positional call
+        seen.append((tokens.shape, v_aux.shape))
+        return layer_fn(model, tokens, v_aux, layer)
+
+    monkeypatch.setattr(PiXTime, "decoder_layer", traced)
+    out = _two_layer_model().m2m_forward(np.random.default_rng(25).standard_normal((8, 8)))
+    assert out.shape == (8, 4)
+    # blocks of 3, 3 and 2 variables, 2 layers each, every block against all the keys
+    assert [t for t, _ in seen] == [(3, 3, 8)] * 4 + [(2, 3, 8)] * 2
+    assert {v for _, v in seen} == {(1, 8, 8)}
+
+
+def test_a_default_m2u_training_step_records_112_tape_nodes():
+    # the shape of configs/fed-2node.json's node 0 at batch 32: one decoder block
+    dims = ModelDims(D=32, L=2, H=4, d_ff=64, n_all=8)
+    cfg = NodeShapeConfig(node_id=0, T=96, S=24, PL=16, var_ids=list(range(1, 8)), target_id=0)
+    model = PiXTime(dims, cfg, seed=0)
+    rng = np.random.default_rng(26)
+    loss = mse(model.forward(rng.standard_normal((32, 96)), rng.standard_normal((32, 96, 7))),
+               rng.standard_normal((32, 24)))
+    seen, stack = {id(loss)}, [loss]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    assert len(seen) == 112
 
 
 def test_m2m_rejects_empty_variable_set():

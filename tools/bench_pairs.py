@@ -27,6 +27,13 @@ operations over all its runs, and `more_failures`: whether the change's
 share of failed operations is larger than the parent's, which the gate
 counts against a change as well.
 
+Every run also keeps the figures its `report:` lines print, such as
+`slowdown` and `uncorrected.windows_per_s`, and each workload's summary holds
+each side's median of them. The benchmark divides every time by the
+slowdown it measures with an in-process reference kernel, so a change that
+moves that kernel's own cost (its page faults depend on the program's
+allocations) moves every corrected rate; the printed slowdown medians show it.
+
 Standard library only; nothing under `perfbench/` is imported.
 """
 
@@ -77,8 +84,19 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {name: entry["value"] for name, entry in result["metrics"].items()},
+        "reported": reported(lines),
         "environment": environment,
     }
+
+
+def reported(lines: list) -> dict:
+    """Name -> value of a run's `report: <name> = <value> <unit> (<note>)` lines."""
+    out = {}
+    for line in lines:
+        if line.startswith("report: "):
+            name, _, rest = line[len("report: "):].partition(" = ")
+            out[name] = float(rest.split()[0])
+    return out
 
 
 def quartiles(values: list) -> tuple:
@@ -97,11 +115,19 @@ def failure_share(runs: list) -> dict:
 
 
 def summarize(pairs: list, better: dict, bounds: dict) -> dict:
-    """Both sides' failed/attempted operations and, per metric: both sides' medians
-    and quartiles, pair wins, the gain rule and, for the end-to-end metrics named in
-    `bounds`, the regression gate's flags."""
+    """Both sides' failed/attempted operations, both sides' medians of each `report:`
+    figure and, per metric: both sides' medians and quartiles, pair wins, the gain
+    rule and, for the end-to-end metrics named in `bounds`, the regression gate's
+    flags."""
     operations = {side: failure_share([p[side] for p in pairs]) for side in ("parent", "change")}
     operations["more_failures"] = operations["change"]["share"] > operations["parent"]["share"]
+    values = {}
+    for p in pairs:
+        for side in ("parent", "change"):
+            for name, value in p[side]["reported"].items():
+                values.setdefault(name, {"parent": [], "change": []})[side].append(value)
+    figures = {name: {side: statistics.median(v) if v else None for side, v in sides.items()}
+               for name, sides in values.items()}
     summary = {}
     for name, direction in better.items():
         both = [(p["parent"]["metrics"].get(name), p["change"]["metrics"].get(name))
@@ -134,7 +160,7 @@ def summarize(pairs: list, better: dict, bounds: dict) -> dict:
                 worse_beyond_bound=sign * (pm - cm) > bound * abs(pm),
                 unresolved=spread > bound and not all_better,
             )
-    return {"operations": operations, "metrics": summary}
+    return {"operations": operations, "reported": figures, "metrics": summary}
 
 
 def main(argv=None) -> int:
@@ -183,6 +209,10 @@ def main(argv=None) -> int:
               f"{ops['parent']['attempted']}  change {ops['change']['failed']}/"
               f"{ops['change']['attempted']}  more failures: "
               f"{'yes' if ops['more_failures'] else 'no'}")
+        slowdown = summary["reported"].get("slowdown")
+        if slowdown and None not in slowdown.values():
+            print(f"{workload:<18} median slowdown: parent {slowdown['parent']:.6g}  "
+                  f"change {slowdown['change']:.6g}")
         for name, s in summary["metrics"].items():
             flags = ""
             if "bound" in s:

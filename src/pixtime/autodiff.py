@@ -637,6 +637,11 @@ def multi_head_attention(
     Query/key/value token sequences have shape (..., n, D); leading axes
     broadcast against each other, so a shared key set can serve a batch of
     query sequences. Output has the query token count and dimension D.
+
+    With one key every softmax is exactly 1: the output is the value and
+    output projections of `v_tokens` broadcast over the query rows, and the
+    queries, keys, `w_q`, `b_q` and `w_k`, whose gradient is exactly zero,
+    get none.
     """
     q_tokens, k_tokens, v_tokens = map(as_tensor, (q_tokens, k_tokens, v_tokens))
     w = weights
@@ -654,6 +659,9 @@ def multi_head_attention(
         if w_x.shape != (d_model, d_model):
             raise ShapeError(f"attention weights must be {(d_model, d_model)}, got {w_x.shape}")
         _check_linear(t.shape, w_x, b_x)
+    parents = (q_tokens, k_tokens, v_tokens, w.w_q, w.b_q, w.w_k, w.w_v, w.b_v, w.w_o, w.b_o)
+    if k_tokens.shape[-2] == 1:
+        return _one_key_attention(q_tokens, k_tokens, v_tokens, w, parents)
     head_dim = d_model // n_heads
     c = 1.0 / np.sqrt(head_dim)
 
@@ -690,7 +698,24 @@ def multi_head_attention(
         g_vt, g_wv, g_bv = _linear_vjp(merge(g_v), v2, w.w_v.data, _grad_shape(v_tokens))
         return g_qt, g_kt, g_vt, g_wq, g_bq, g_wk, g_wv, g_bv, g_wo, g_bo
 
-    parents = (q_tokens, k_tokens, v_tokens, w.w_q, w.b_q, w.w_k, w.w_v, w.b_v, w.w_o, w.b_o)
+    return _result(data, parents, vjp, "multi_head_attention")
+
+
+def _one_key_attention(q_tokens: Tensor, k_tokens: Tensor, v_tokens: Tensor,
+                       w: AttentionWeights, parents: tuple) -> Tensor:
+    """`multi_head_attention` against one key: linear(linear(v, w_v, b_v), w_o, b_o)
+    broadcast over the query rows."""
+    v2, v = _linear_fwd(v_tokens.data, w.w_v.data, w.b_v.data)
+    ctx2, out = _linear_fwd(v, w.w_o.data, w.b_o.data)
+    lead = np.broadcast_shapes(q_tokens.shape[:-2], k_tokens.shape[:-2], v_tokens.shape[:-2])
+    shape = lead + q_tokens.shape[-2:]
+    data = out if out.shape == shape else np.broadcast_to(out, shape).copy()
+
+    def vjp(g):
+        g_v, g_wo, g_bo = _linear_vjp(_unbroadcast(g, out.shape), ctx2, w.w_o.data, v.shape)
+        g_vt, g_wv, g_bv = _linear_vjp(g_v, v2, w.w_v.data, _grad_shape(v_tokens))
+        return None, None, g_vt, None, None, None, g_wv, g_bv, g_wo, g_bo
+
     return _result(data, parents, vjp, "multi_head_attention")
 
 

@@ -46,11 +46,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_json(path: Path):
-    """The JSON value in `path`; text that is not JSON is a config error."""
-    with open(path) as fh:
+    """The JSON value in `path`; a file json cannot decode is a config error:
+    malformed, not UTF-8, an integer too long for int() (all ValueErrors),
+    or nested past the decoder's recursion limit."""
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from None
 
 

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError, FormatError, ParseError
 from .model import NodeShapeConfig
@@ -273,14 +274,16 @@ def gather_batch(view: NodeDataView, starts) -> tuple:
     """Assemble (x, Z, y) arrays for a batch of window starts.
 
     x: (B, T) target look-back; Z: (B, T, C) auxiliary columns;
-    y: (B, S) target horizon.
+    y: (B, S) target horizon. The batch is read through a read-only
+    strided view of `view.series` holding one (columns, T + S) window per
+    start, so only the batch itself is copied. Z is the transposed view of
+    a C-contiguous (B, C, T) block, the layout the variable embedding
+    projects. A start past the last window raises IndexError.
     """
     cfg = view.cfg
     starts = np.asarray(starts, dtype=np.intp)
-    in_rows = starts[:, None] + np.arange(cfg.T)
-    out_rows = starts[:, None] + cfg.T + np.arange(cfg.S)
-    x = view.series[in_rows, cfg.target_id]
-    Z = view.series[in_rows[:, :, None], np.asarray(cfg.var_ids, dtype=np.intp)]
-    y = view.series[out_rows, cfg.target_id]
-    return x, Z, y
-
+    windows = sliding_window_view(view.series, cfg.T + cfg.S, axis=0)
+    x = windows[starts, cfg.target_id, : cfg.T]
+    Z = windows[starts[:, None], np.asarray(cfg.var_ids, dtype=np.intp), : cfg.T]
+    y = windows[starts, cfg.target_id, cfg.T :]
+    return x, Z.swapaxes(-1, -2), y

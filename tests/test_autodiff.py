@@ -15,6 +15,7 @@ from pixtime import (
     ffn,
     gather_rows,
     gelu,
+    grad_check,
     layer_norm,
     linear,
     matmul,
@@ -657,6 +658,46 @@ def test_fused_attention_matches_unfused(mode):
     _assert_fused_matches_reference(
         lambda: multi_head_attention(q, kv, kv, bundle, 2),
         lambda: ref_attention(q, kv, kv, bundle, 2), params)
+
+
+# (query, key, value) token shapes with one key: several query rows against
+# a key and value broadcast over the batch, the m2m shape with one auxiliary,
+# and unbatched tokens. In the model every one-key attention has one query
+# row, so no model-level gradient check sees the sum over the query rows.
+ONE_KEY_SHAPES = {
+    "broadcast_key": ((2, 3, 8), (1, 1, 8), (1, 1, 8)),
+    "m2m": ((2, 3, 1, 8), (2, 1, 1, 8), (2, 1, 1, 8)),
+    "unbatched": ((3, 8), (1, 8), (1, 8)),
+}
+
+
+def _one_key_case(case):
+    """(attention weights, q/k/v tokens, every parameter) for one ONE_KEY_SHAPES case."""
+    rng = np.random.default_rng(len(case))
+    w = _attention_params(rng, 8)
+    tokens = _params(rng, dict(zip("qkv", ONE_KEY_SHAPES[case])))
+    return AttentionWeights(**w), tokens, {**w, **tokens}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_KEY_SHAPES))
+def test_one_key_attention_matches_the_primitive_oracle(case):
+    bundle, t, params = _one_key_case(case)
+    _assert_fused_matches_reference(
+        lambda: multi_head_attention(t["q"], t["k"], t["v"], bundle, 2),
+        lambda: ref_attention(t["q"], t["k"], t["v"], bundle, 2), params)
+
+
+@pytest.mark.parametrize("case", sorted(ONE_KEY_SHAPES))
+def test_one_key_attention_gradients_match_finite_differences(case):
+    bundle, t, params = _one_key_case(case)
+    q, k, v = t["q"], t["k"], t["v"]
+    out_shape = np.broadcast_shapes(q.shape[:-2], k.shape[:-2]) + q.shape[-2:]
+    target = Tensor(np.random.default_rng(5).standard_normal(out_shape))
+    report = grad_check(lambda: mse(multi_head_attention(q, k, v, bundle, 2), target), params)
+    assert report.max_rel_error < 1e-5, str(report)
+    # the softmax over one key is constant: nothing reaches the queries or keys
+    for name in ("q", "k", "w_q", "b_q", "w_k"):
+        assert not params[name].grad.any(), name
 
 
 @pytest.mark.parametrize("mode", sorted(MODE_TOKEN_SHAPES))

@@ -320,6 +320,66 @@ def test_gather_batch_windows_are_contiguous_non_overlapping():
         assert np.array_equal(y[b], data[t + 24 : t + 32, 0])
 
 
+def _reference_gather(view, starts):
+    """The per-element fancy-index gather that gather_batch replaced, kept as its oracle."""
+    cfg = view.cfg
+    starts = np.asarray(starts, dtype=np.intp)
+    in_rows = starts[:, None] + np.arange(cfg.T)
+    out_rows = starts[:, None] + cfg.T + np.arange(cfg.S)
+    x = view.series[in_rows, cfg.target_id]
+    Z = view.series[in_rows[:, :, None], np.asarray(cfg.var_ids, dtype=np.intp)]
+    y = view.series[out_rows, cfg.target_id]
+    return x, Z, y
+
+
+def _gather_views(stride):
+    """A node's views on 7 columns, with unsorted auxiliaries and a target that is not column 0."""
+    data = np.random.default_rng(stride).standard_normal((600, 7))
+    cfg = NodeShapeConfig(node_id=0, T=48 // stride, S=12 // stride, PL=12 // stride,
+                          var_ids=[5, 1, 6, 3], target_id=2, stride=stride)
+    return build_node_views(data, cfg, SplitSpec())
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("split", ["train", "val", "test"])
+def test_gather_batch_equals_the_per_element_gather(stride, split):
+    view = _gather_views(stride)[split]
+    cfg = view.cfg
+    # a coarse node's series is a strided view of the standardized matrix
+    assert view.series.flags.c_contiguous == (stride == 1)
+    last = view.series.shape[0] - cfg.T - cfg.S
+    rng = np.random.default_rng(stride)
+    batches = [rng.choice(view.starts, size=min(9, len(view.starts))),
+               view.starts[:1], view.starts[-1:], [0], [last], [last, 0, last],
+               rng.integers(0, last + 1, size=40), []]
+    for starts in batches:
+        got, want = gather_batch(view, starts), _reference_gather(view, starts)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b), starts
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_gather_batch_returns_fresh_arrays_and_z_reads_as_a_contiguous_block(stride):
+    view = _gather_views(stride)["train"]
+    before = view.series.copy()
+    x, Z, y = gather_batch(view, view.starts[:5])
+    # the variable embedding projects (B, C, T) rows with no copy
+    assert np.swapaxes(Z, -1, -2).flags.c_contiguous
+    for a in (x, Z, y):
+        assert a.flags.writeable
+        a[...] = np.nan
+    assert np.array_equal(view.series, before)
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_gather_batch_rejects_a_start_past_the_last_window(stride):
+    view = _gather_views(stride)["test"]
+    last = view.series.shape[0] - view.cfg.T - view.cfg.S
+    gather_batch(view, [last])
+    with pytest.raises(IndexError):
+        gather_batch(view, [0, last + 1])
+
+
 def test_granularity_pairing_preserves_physical_patch_span():
     fine_views, _ = _views_for(n_nodes=2, node_id=0, stride=1)
     coarse_views, _ = _views_for(n_nodes=2, node_id=1, stride=4)

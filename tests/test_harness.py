@@ -4,19 +4,22 @@ import copy
 import csv
 import json
 import re
+import tempfile
 import warnings
 from dataclasses import fields, is_dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import get_args
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pixtime import ExperimentConfig, evaluate, harness, persistence_baseline, run_experiment
 from pixtime.cli import main as cli_main
-from pixtime.data import SYNTHETIC_MINIMA, NodeDataView, SplitSpec, build_node_views
+from pixtime.data import SYNTHETIC_MINIMA, NodeDataView, RawDataset, SplitSpec, build_node_views
 from pixtime.errors import ConfigError, EvaluationError
 from pixtime.harness import (
     DatasetConfig,
@@ -630,6 +633,63 @@ def test_cli_rejects_malformed_json_with_exit_2_naming_the_file(tmp_path, capsys
     assert cli_main(["train-fed", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and str(path) in err
+
+
+# config files json cannot decode: bytes that are not UTF-8, nesting deeper
+# than the decoder's recursion limit, an integer longer than int() converts
+UNDECODABLE_CONFIGS = [b'{"D": \xff}', b"[" * 100_000, b'{"D": ' + b"1" * 5000 + b"}"]
+
+
+@pytest.mark.parametrize("command", ["train-fed", "gen-synthetic"])
+@pytest.mark.parametrize("content", UNDECODABLE_CONFIGS, ids=["utf8", "nesting", "digits"])
+def test_cli_rejects_an_undecodable_config_with_exit_2_naming_the_file(tmp_path, capsys,
+                                                                       command, content):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    out = tmp_path / "out.csv"
+    assert cli_main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: not valid JSON")
+    assert not out.exists()
+
+
+def _with_leaf(path, value):
+    raw = copy.deepcopy(VALID_RAW)
+    _leaf_block(raw, path)[path[-1]] = value
+    return raw
+
+
+# a config file's bytes: arbitrary bytes, any JSON value, a valid config with
+# one leaf set to any JSON value, or a synthetic block of any values; the
+# small integers let some files pass the config check
+LEAF_VALUES = JSON_VALUES | st.integers(0, 2000)
+CONFIG_FILES = st.one_of(
+    st.binary(max_size=64),
+    st.one_of(
+        JSON_VALUES,
+        st.builds(_with_leaf, st.sampled_from(LEAF_PATHS), LEAF_VALUES),
+        st.dictionaries(st.sampled_from(sorted(SYNTHETIC_MINIMA)), LEAF_VALUES),
+    ).map(lambda value: json.dumps(value).encode()),
+)
+
+
+@pytest.mark.parametrize("command", ["train-fed", "gen-synthetic"])
+@settings(deadline=None, max_examples=300)
+@example(content=UNDECODABLE_CONFIGS[0])
+@example(content=UNDECODABLE_CONFIGS[1])
+@given(content=CONFIG_FILES)
+def test_cli_exits_0_1_or_2_on_any_config_file(command, content):
+    """With the run itself stubbed out, `cli.main` on any config file returns
+    an exit code and never raises."""
+    run = SimpleNamespace(metrics={}, out_dir="out", duration_s=0.0)
+    dataset = RawDataset(["target", "aux00"], np.zeros((2, 2)))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch("pixtime.cli.run_experiment", return_value=run), \
+            mock.patch("pixtime.cli.generate_synthetic", return_value=dataset):
+        path = Path(tmp) / "config.json"
+        path.write_bytes(content)
+        code = cli_main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)
 
 
 @pytest.mark.parametrize("value", ["a", None, [0.7], True])

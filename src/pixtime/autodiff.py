@@ -277,9 +277,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
+    """A reshape to `x`'s own shape returns `x` and puts nothing on the tape."""
     x = as_tensor(x)
-    shape = tuple(shape)
-    data = x.data.reshape(shape)
+    data = x.data.reshape(tuple(shape))
+    if data.shape == x.shape:
+        return x
 
     def vjp(g):
         return (g.reshape(x.data.shape),)
@@ -414,15 +416,12 @@ def _softmax_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _key_leading_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b stored C-contiguous with its last axis leading: (m, ..., n).
+    """a @ b (equal leading axes) stored C-contiguous with its last axis leading: (m, ..., n).
 
     Attention keeps its score blocks this way, so the softmax reductions
     over the key axis run along the leading axis.
     """
-    lead = a.shape[:-2]
-    if lead != b.shape[:-2]:
-        lead = np.broadcast_shapes(lead, b.shape[:-2])
-    out = np.empty((b.shape[-1],) + lead + (a.shape[-2],))
+    out = np.empty((b.shape[-1],) + a.shape[:-1])
     np.matmul(a, b, out=out.transpose(_key_axes(out.ndim)[0]))
     return out
 
@@ -625,43 +624,38 @@ class LayerNormWeights:
     bias: Tensor
 
 
-def multi_head_attention(
-    q_tokens: Tensor,
-    k_tokens: Tensor,
-    v_tokens: Tensor,
-    weights: AttentionWeights,
-    n_heads: int,
-) -> Tensor:
-    """Scaled dot-product attention with per-head softmax.
+def multi_head_attention(q_tokens: Tensor, kv_tokens: Tensor, weights: AttentionWeights,
+                         n_heads: int) -> Tensor:
+    """Scaled dot-product attention with per-head softmax over one memory.
 
-    Query/key/value token sequences have shape (..., n, D); leading axes
-    broadcast against each other, so a shared key set can serve a batch of
-    query sequences. Output has the query token count and dimension D.
+    Queries (..., n, D) attend to a memory (..., m, D) with the same leading
+    axes, from which both keys and values are projected; the output is
+    (..., n, D). The memory is the parent of the key path and of the value
+    path, so backward adds those two gradients in that order.
 
     With one key every softmax is exactly 1: the output is the value and
-    output projections of `v_tokens` broadcast over the query rows, and the
-    queries, keys, `w_q`, `b_q` and `w_k`, whose gradient is exactly zero,
-    get none.
+    output projections of the memory broadcast over the query rows, and the
+    queries, the key path, `w_q`, `b_q` and `w_k` get no gradient (theirs is
+    exactly zero).
     """
-    q_tokens, k_tokens, v_tokens = map(as_tensor, (q_tokens, k_tokens, v_tokens))
+    q_tokens, kv_tokens = as_tensor(q_tokens), as_tensor(kv_tokens)
     w = weights
     d_model = q_tokens.shape[-1]
     if d_model % n_heads != 0:
         raise ConfigError(
             f"model dimension {d_model} not divisible by {n_heads} heads"
         )
-    if k_tokens.shape[-2] != v_tokens.shape[-2]:
-        raise ShapeError(
-            f"key/value token counts disagree: {k_tokens.shape} vs {v_tokens.shape}"
-        )
-    for t, w_x, b_x in ((q_tokens, w.w_q, w.b_q), (k_tokens, w.w_k, None),
-                        (v_tokens, w.w_v, w.b_v), (q_tokens, w.w_o, w.b_o)):
+    if min(q_tokens.ndim, kv_tokens.ndim) < 2 or q_tokens.shape[:-2] != kv_tokens.shape[:-2]:
+        raise ShapeError(f"queries {q_tokens.shape} and memory {kv_tokens.shape} must be "
+                         "(..., n, D) and (..., m, D) with the same leading axes")
+    for t, w_x, b_x in ((q_tokens, w.w_q, w.b_q), (kv_tokens, w.w_k, None),
+                        (kv_tokens, w.w_v, w.b_v), (q_tokens, w.w_o, w.b_o)):
         if w_x.shape != (d_model, d_model):
             raise ShapeError(f"attention weights must be {(d_model, d_model)}, got {w_x.shape}")
         _check_linear(t.shape, w_x, b_x)
-    parents = (q_tokens, k_tokens, v_tokens, w.w_q, w.b_q, w.w_k, w.w_v, w.b_v, w.w_o, w.b_o)
-    if k_tokens.shape[-2] == 1:
-        return _one_key_attention(q_tokens, k_tokens, v_tokens, w, parents)
+    parents = (q_tokens, kv_tokens, kv_tokens, w.w_q, w.b_q, w.w_k, w.w_v, w.b_v, w.w_o, w.b_o)
+    if kv_tokens.shape[-2] == 1:
+        return _one_key_attention(q_tokens, kv_tokens, w, parents)
     head_dim = d_model // n_heads
     c = 1.0 / np.sqrt(head_dim)
 
@@ -673,8 +667,8 @@ def multi_head_attention(
         return t.reshape(t.shape[:-2] + (d_model,))
 
     q2, q = _linear_fwd(q_tokens.data, w.w_q.data, w.b_q.data)
-    k2, k = _linear_fwd(k_tokens.data, w.w_k.data, None)
-    v2, v = _linear_fwd(v_tokens.data, w.w_v.data, w.b_v.data)
+    kv2, k = _linear_fwd(kv_tokens.data, w.w_k.data, None)
+    _, v = _linear_fwd(kv_tokens.data, w.w_v.data, w.b_v.data)
     q, k, v = split(q), split(k), split(v)
     # the score block is stored key-leading, (m, ..., H, n)
     attn = _key_leading_matmul(q, _transposed(k))
@@ -687,33 +681,34 @@ def multi_head_attention(
     def vjp(g):
         g_ctx, g_wo, g_bo = _linear_vjp(g, ctx2, w.w_o.data, ctx.shape)
         g_ctx = split(g_ctx)
-        g_v = _unbroadcast(attn.transpose(key_second_last) @ g_ctx, v.shape)
+        g_v = attn.transpose(key_second_last) @ g_ctx
         # a plain BLAS product, read key-first by the softmax VJP
         g_s = _softmax_vjp((g_ctx @ _transposed(v)).transpose(key_first), attn)
         g_s *= c
-        g_q = _unbroadcast(g_s.transpose(key_last) @ k, q.shape)
-        g_k = _unbroadcast(g_s.transpose(key_second_last) @ q, k.shape)
+        g_q = g_s.transpose(key_last) @ k
+        g_k = g_s.transpose(key_second_last) @ q
         g_qt, g_wq, g_bq = _linear_vjp(merge(g_q), q2, w.w_q.data, _grad_shape(q_tokens))
-        g_kt, g_wk, _ = _linear_vjp(merge(g_k), k2, w.w_k.data, _grad_shape(k_tokens))
-        g_vt, g_wv, g_bv = _linear_vjp(merge(g_v), v2, w.w_v.data, _grad_shape(v_tokens))
+        g_kt, g_wk, _ = _linear_vjp(merge(g_k), kv2, w.w_k.data, _grad_shape(kv_tokens))
+        g_vt, g_wv, g_bv = _linear_vjp(merge(g_v), kv2, w.w_v.data, _grad_shape(kv_tokens))
         return g_qt, g_kt, g_vt, g_wq, g_bq, g_wk, g_wv, g_bv, g_wo, g_bo
 
     return _result(data, parents, vjp, "multi_head_attention")
 
 
-def _one_key_attention(q_tokens: Tensor, k_tokens: Tensor, v_tokens: Tensor,
-                       w: AttentionWeights, parents: tuple) -> Tensor:
-    """`multi_head_attention` against one key: linear(linear(v, w_v, b_v), w_o, b_o)
+def _one_key_attention(q_tokens: Tensor, kv_tokens: Tensor, w: AttentionWeights,
+                       parents: tuple) -> Tensor:
+    """`multi_head_attention` against one key: linear(linear(kv, w_v, b_v), w_o, b_o)
     broadcast over the query rows."""
-    v2, v = _linear_fwd(v_tokens.data, w.w_v.data, w.b_v.data)
+    v2, v = _linear_fwd(kv_tokens.data, w.w_v.data, w.b_v.data)
     ctx2, out = _linear_fwd(v, w.w_o.data, w.b_o.data)
-    lead = np.broadcast_shapes(q_tokens.shape[:-2], k_tokens.shape[:-2], v_tokens.shape[:-2])
-    shape = lead + q_tokens.shape[-2:]
-    data = out if out.shape == shape else np.broadcast_to(out, shape).copy()
+    rows = q_tokens.shape[-2]
+    data = out if rows == 1 else np.broadcast_to(out, q_tokens.shape).copy()
 
     def vjp(g):
-        g_v, g_wo, g_bo = _linear_vjp(_unbroadcast(g, out.shape), ctx2, w.w_o.data, v.shape)
-        g_vt, g_wv, g_bv = _linear_vjp(g_v, v2, w.w_v.data, _grad_shape(v_tokens))
+        if rows > 1:  # every query row got the same output
+            g = g.sum(axis=-2, keepdims=True)
+        g_v, g_wo, g_bo = _linear_vjp(g, ctx2, w.w_o.data, v.shape)
+        g_vt, g_wv, g_bv = _linear_vjp(g_v, v2, w.w_v.data, _grad_shape(kv_tokens))
         return None, None, g_vt, None, None, None, g_wv, g_bv, g_wo, g_bo
 
     return _result(data, parents, vjp, "multi_head_attention")

@@ -204,22 +204,26 @@ def generate_synthetic(
     target_phase = rng.uniform(0.0, 2.0 * np.pi)
 
     max_lag = max((lag for _, _, lag in couplings), default=0)
-    t_ext = np.arange(-max_lag, length, dtype=np.float64)
-    aux = np.sin(2.0 * np.pi * t_ext[:, None] / periods + phases)
-    if noise_sigma > 0:
-        aux = aux + noise_sigma * rng.standard_normal(aux.shape)
+    try:
+        t_ext = np.arange(-max_lag, length, dtype=np.float64)
+        aux = np.sin(2.0 * np.pi * t_ext[:, None] / periods + phases)
+        if noise_sigma > 0:
+            aux = aux + noise_sigma * rng.standard_normal(aux.shape)
 
-    t = np.arange(length, dtype=np.float64)
-    mix = np.zeros(length)
-    for aux_index, weight, lag in couplings:
-        mix += weight * aux[max_lag - lag : max_lag - lag + length, aux_index]
-    norm = sum(abs(w) for _, w, _ in couplings)
-    target = mix / max(norm, 1e-12)
-    target += seasonal_weight * np.sin(2.0 * np.pi * t / target_period + target_phase)
-    if noise_sigma > 0:
-        target += noise_sigma * rng.standard_normal(length)
+        t = np.arange(length, dtype=np.float64)
+        mix = np.zeros(length)
+        for aux_index, weight, lag in couplings:
+            mix += weight * aux[max_lag - lag : max_lag - lag + length, aux_index]
+        norm = sum(abs(w) for _, w, _ in couplings)
+        target = mix / max(norm, 1e-12)
+        target += seasonal_weight * np.sin(2.0 * np.pi * t / target_period + target_phase)
+        if noise_sigma > 0:
+            target += noise_sigma * rng.standard_normal(length)
 
-    values = np.column_stack([target, aux[max_lag:]])
+        values = np.column_stack([target, aux[max_lag:]])
+    except MemoryError as exc:  # numpy refuses a size it cannot allocate
+        raise ConfigError(f"dataset.synthetic.length={length} with n_vars={n_vars} "
+                          f"is too large: {exc}") from None
     names = ["target"] + [f"aux{k:02d}" for k in range(n_aux)]
     return RawDataset(column_names=names, values=values)
 

@@ -315,7 +315,7 @@ class PiXTime:
         x = v_tokens
         H = self.dims.H
         for lp in self.encoder_layers:
-            att = ad.multi_head_attention(x, x, x, lp["self_att"], H)
+            att = ad.multi_head_attention(x, x, lp["self_att"], H)
             x = ad.residual_layer_norm(x, att, lp["ln1"], LN_EPS)
             x = ad.residual_layer_norm(x, ad.ffn(x, lp["ffn"]), lp["ln2"], LN_EPS)
         return x
@@ -323,13 +323,14 @@ class PiXTime:
     def decoder_layer(self, tokens: Tensor, v_aux: Tensor, layer: int) -> Tensor:
         """One decoder layer on (..., M + 1, D) tokens, abstract token in row 0.
 
-        Self-attention runs over all M + 1 tokens; cross-attention uses
-        only the abstract token as the query against the encoded auxiliary
-        tokens; the FFN then mixes the cross-attended abstract token back
-        into every row. The last layer computes only what the projection
-        reads: it has no cross-attention, queries with the M patch rows
-        alone (the abstract token still serves as a key and value) and
-        returns (..., M, D).
+        Self-attention runs over all M + 1 tokens. A window's abstract
+        tokens, one per target sequence, are the query rows of one
+        cross-attention over that window's encoded auxiliaries `v_aux`
+        (..., C, D); the FFN then mixes the cross-attended abstract token
+        back into every row. The last layer computes only what the
+        projection reads: it has no cross-attention, queries with the M
+        patch rows alone (the abstract token still serves as a key and
+        value) and returns (..., M, D).
         """
         lp = self.decoder_layers[layer]
         H = self.dims.H
@@ -337,13 +338,15 @@ class PiXTime:
         last = layer == self.dims.L - 1
 
         queries = ad.slice_axis(tokens, -2, 1, n_tokens) if last else tokens
-        att = ad.multi_head_attention(queries, tokens, tokens, lp["self_att"], H)
+        att = ad.multi_head_attention(queries, tokens, lp["self_att"], H)
         t = ad.residual_layer_norm(queries, att, lp["ln1"], LN_EPS)
 
         if not last:
             head = ad.slice_axis(t, -2, 0, 1)
-            cross = ad.multi_head_attention(head, v_aux, v_aux, lp["cross_att"], H)
-            head = ad.residual_layer_norm(head, cross, lp["ln2"], LN_EPS)
+            # (..., n_var, 1, D) -> (..., n_var, D); m2u and u2u keep their shape
+            rows = ad.reshape(head, v_aux.shape[:-2] + (-1, self.dims.D))
+            cross = ad.multi_head_attention(rows, v_aux, lp["cross_att"], H)
+            head = ad.reshape(ad.residual_layer_norm(rows, cross, lp["ln2"], LN_EPS), head.shape)
             t = ad.concat([head, ad.slice_axis(t, -2, 1, n_tokens)], axis=-2)
         return ad.residual_layer_norm(t, ad.ffn(t, lp["ffn"]), lp["ln3"], LN_EPS)
 
@@ -356,25 +359,22 @@ class PiXTime:
         """Decoder layers and projection: (..., M + 1, D) tokens -> (..., S).
 
         Runs in blocks of at most DECODE_BLOCK target sequences along the
-        leading (window) axis, cut with `slice_axis` and joined with
-        `concat`, so the tape still holds the whole batch. A block holds
-        at least one window. `v_aux` is cut with the tokens when its
-        leading axis is theirs, and is broadcast to every block when that
-        axis has size 1. Tokens with no window axis, or with fewer axes
-        than `v_aux`, run as one block. The forecasts equal one pass's bit
-        for bit at the harness's shapes; a block with a short leading axis
-        may reach another numpy product kernel and differ by rounding.
+        leading (window) axis: the tokens and the encoded auxiliaries
+        `v_aux` (..., C, D) are cut together with `slice_axis` and the
+        blocks joined with `concat`, so the tape still holds the whole
+        batch. A block holds at least one window. Unbatched inputs, whose
+        `v_aux` is (C, D), run as one block. The forecasts equal one
+        pass's bit for bit at the harness's shapes; a block with a short
+        leading axis may reach another numpy product kernel and differ by
+        rounding.
         """
         n = tokens.shape[0]
         step = max(1, DECODE_BLOCK // math.prod(tokens.shape[1:-2]))
-        if tokens.ndim < 3 or v_aux.ndim > tokens.ndim or n <= step:
+        if v_aux.ndim < 3 or n <= step:
             return self._decode_block(tokens, v_aux)
-        cut = v_aux.ndim == tokens.ndim and v_aux.shape[0] != 1
-        blocks = []
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            v = ad.slice_axis(v_aux, 0, lo, hi) if cut else v_aux
-            blocks.append(self._decode_block(ad.slice_axis(tokens, 0, lo, hi), v))
+        blocks = [self._decode_block(ad.slice_axis(tokens, 0, lo, lo + step),
+                                     ad.slice_axis(v_aux, 0, lo, lo + step))
+                  for lo in range(0, n, step)]
         return ad.concat(blocks, axis=0)
 
     def _decode_block(self, tokens: Tensor, v_aux: Tensor) -> Tensor:
@@ -393,9 +393,9 @@ class PiXTime:
 
         All variables form the auxiliary set (one encoder pass); each
         variable is also patch-embedded as a target, so a window holds
-        n_var target sequences, every abstract token cross-attending to
-        the same encoded auxiliaries. The decoder runs over them in blocks
-        of whole windows (see `decode`).
+        n_var target sequences whose abstract tokens are the query rows of
+        one cross-attention over the window's encoded auxiliaries. The
+        decoder runs over them in blocks of whole windows (see `decode`).
         """
         series = as_tensor(all_series)
         ids = list(var_ids) if var_ids is not None else [self.node.target_id] + self.node.var_ids
@@ -408,9 +408,7 @@ class PiXTime:
             )
         v_aux = self.variable_embed(series, ids)
         v_enc = self.aux_encoder(v_aux)
-        # keys/values broadcast across the per-variable decoder batch
-        v_keys = ad.reshape(v_enc, v_enc.shape[:-2] + (1,) + v_enc.shape[-2:])
-        return self.decode(self.patch_embed(ad.swapaxes(series, -1, -2)), v_keys)
+        return self.decode(self.patch_embed(ad.swapaxes(series, -1, -2)), v_enc)
 
     def u2u_forward(self, x) -> Tensor:
         """Univariate forecast: the target is copied in as its own auxiliary."""

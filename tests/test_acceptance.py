@@ -147,7 +147,7 @@ def test_criterion_02_primitive_oracles():
         bundle = AttentionWeights(**{k: Tensor(v) for k, v in w.items()})
         q, kv = rng.standard_normal((3, 4)), rng.standard_normal((2, 4))
         worst = max(worst, np.max(np.abs(
-            multi_head_attention(Tensor(q), Tensor(kv), Tensor(kv), bundle, 2).data
+            multi_head_attention(Tensor(q), Tensor(kv), bundle, 2).data
             - _loop_attention(q, kv, kv, w, 2))))
 
         w1, b1 = rng.standard_normal((4, 6)), rng.standard_normal(6)

@@ -207,7 +207,7 @@ def test_attention_single_token_weight_is_one():
     rng = np.random.default_rng(3)
     raw, bundle = _rand_attention_weights(rng, 4)
     token = rng.standard_normal((1, 4))
-    out = multi_head_attention(Tensor(token), Tensor(token), Tensor(token), bundle, 2)
+    out = multi_head_attention(Tensor(token), Tensor(token), bundle, 2)
     expected = (token @ raw["w_v"] + raw["b_v"]) @ raw["w_o"] + raw["b_o"]
     assert np.max(np.abs(out.data - expected)) < 1e-12
 
@@ -215,11 +215,11 @@ def test_attention_single_token_weight_is_one():
 def test_attention_identical_keys_average_values():
     rng = np.random.default_rng(4)
     raw, bundle = _rand_attention_weights(rng, 4)
+    bundle.w_k = Tensor(np.zeros((4, 4)))  # every memory row projects to the zero key
     q = rng.standard_normal((3, 4))
-    k = np.tile(rng.standard_normal(4), (5, 1))
-    v = rng.standard_normal((5, 4))
-    out = multi_head_attention(Tensor(q), Tensor(k), Tensor(v), bundle, 2)
-    mean_projected = (v @ raw["w_v"] + raw["b_v"]).mean(axis=0)
+    kv = rng.standard_normal((5, 4))
+    out = multi_head_attention(Tensor(q), Tensor(kv), bundle, 2)
+    mean_projected = (kv @ raw["w_v"] + raw["b_v"]).mean(axis=0)
     expected = np.tile(mean_projected @ raw["w_o"] + raw["b_o"], (3, 1))
     assert np.max(np.abs(out.data - expected)) < 1e-12
 
@@ -229,10 +229,9 @@ def test_attention_matches_per_head_oracle(seed):
     rng = np.random.default_rng(seed)
     raw, bundle = _rand_attention_weights(rng, 4)
     q = rng.standard_normal((3, 4))
-    k = rng.standard_normal((2, 4))
-    v = rng.standard_normal((2, 4))
-    out = multi_head_attention(Tensor(q), Tensor(k), Tensor(v), bundle, 2)
-    assert np.max(np.abs(out.data - naive_attention(q, k, v, raw, 2))) < 1e-10
+    kv = rng.standard_normal((2, 4))
+    out = multi_head_attention(Tensor(q), Tensor(kv), bundle, 2)
+    assert np.max(np.abs(out.data - naive_attention(q, kv, kv, raw, 2))) < 1e-10
 
 
 @pytest.mark.parametrize("n_q,n_k", [(1, 1), (4, 2), (2, 6)])
@@ -240,11 +239,7 @@ def test_attention_output_token_count_tracks_queries(n_q, n_k):
     rng = np.random.default_rng(0)
     _, bundle = _rand_attention_weights(rng, 4)
     out = multi_head_attention(
-        Tensor(rng.standard_normal((n_q, 4))),
-        Tensor(rng.standard_normal((n_k, 4))),
-        Tensor(rng.standard_normal((n_k, 4))),
-        bundle,
-        2,
+        Tensor(rng.standard_normal((n_q, 4))), Tensor(rng.standard_normal((n_k, 4))), bundle, 2
     )
     assert out.shape == (n_q, 4)
 
@@ -253,10 +248,30 @@ def test_attention_head_divisibility_error():
     rng = np.random.default_rng(0)
     _, bundle = _rand_attention_weights(rng, 4)
     with pytest.raises(ConfigError):
-        multi_head_attention(
-            Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))),
-            Tensor(np.zeros((2, 4))), bundle, 3,
-        )
+        multi_head_attention(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))), bundle, 3)
+
+
+# (query, memory) shapes whose leading axes differ: the old m2m broadcast form
+# (B, n_var, 1, D) against (B, 1, C, D), a memory with an extra leading axis,
+# a different batch, and a memory with no token axis
+MISMATCHED_ATTENTION_SHAPES = [
+    ((2, 3, 1, 4), (2, 1, 5, 4)),
+    ((3, 4), (2, 3, 4)),
+    ((2, 3, 4), (3, 5, 4)),
+    ((2, 3, 4), (4,)),
+]
+
+
+@pytest.mark.parametrize("q_shape, kv_shape", MISMATCHED_ATTENTION_SHAPES,
+                         ids=["m2m_broadcast_form", "extra_memory_axis", "other_batch",
+                              "no_token_axis"])
+def test_attention_rejects_a_memory_with_other_leading_axes(q_shape, kv_shape):
+    rng = np.random.default_rng(0)
+    _, bundle = _rand_attention_weights(rng, 4)
+    q, kv = Tensor(np.zeros(q_shape)), Tensor(np.zeros(kv_shape))
+    with pytest.raises(ShapeError) as err:
+        multi_head_attention(q, kv, bundle, 2)
+    assert str(q_shape) in str(err.value) and str(kv_shape) in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +397,8 @@ def test_forward_determinism_bit_identical():
     rng = np.random.default_rng(11)
     _, bundle = _rand_attention_weights(rng, 4)
     x = Tensor(rng.standard_normal((3, 4)))
-    a = multi_head_attention(x, x, x, bundle, 2).data
-    b = multi_head_attention(x, x, x, bundle, 2).data
+    a = multi_head_attention(x, x, bundle, 2).data
+    b = multi_head_attention(x, x, bundle, 2).data
     assert np.array_equal(a, b)
 
 
@@ -464,6 +479,19 @@ def test_structural_op_gradients(seed):
     _fd_check(lambda: mse(broadcast_to(row, (4, 3)), tgt_b), row)
 
 
+def test_reshape_to_the_same_shape_returns_its_input_and_records_nothing():
+    p = Parameter("p", np.arange(12.0).reshape(3, 4))
+    node = linear(p, Tensor(np.eye(4)), Tensor(np.zeros(4)))
+    order = next(ad._CREATION_ORDER)
+    for x in (p, node):
+        assert reshape(x, (3, 4)) is x
+        assert reshape(x, (-1, 4)) is x
+    # nothing was put on the tape in between
+    assert next(ad._CREATION_ORDER) == order + 1
+    moved = reshape(node, (4, 3))
+    assert moved is not node and moved._parents == (node,)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_attention_and_ffn_gradients(seed):
     rng = np.random.default_rng(seed)
@@ -477,7 +505,7 @@ def test_attention_and_ffn_gradients(seed):
 
     name = ["w_q", "w_k", "w_v", "w_o", "b_q", "b_v", "b_o"][seed % 7]
     _fd_check(
-        lambda: mse(multi_head_attention(q, kv, kv, bundle, 2), target), params[name]
+        lambda: mse(multi_head_attention(q, kv, bundle, 2), target), params[name]
     )
 
     fw = {
@@ -504,11 +532,11 @@ def test_linear_bias_broadcast_gradient():
 # fused operations: every input's gradient against finite differences
 # ---------------------------------------------------------------------------
 
-# (query, key, value) token shapes: distinct q and kv, and the m2m case where
-# (B, n_var, 1, D) abstract tokens attend to (B, 1, C, D) shared keys
+# (query, memory) token shapes: distinct q and kv, and the m2m case where a
+# window's n_var abstract tokens (B, n_var, D) attend to its (B, C, D) memory
 ATTENTION_INPUT_SHAPES = {
-    "distinct": ((3, 4), (2, 4), (2, 4)),
-    "m2m_broadcast": ((2, 3, 1, 4), (2, 1, 5, 4), (2, 1, 5, 4)),
+    "distinct": ((3, 4), (2, 4)),
+    "m2m": ((2, 3, 4), (2, 5, 4)),
 }
 
 
@@ -517,12 +545,11 @@ ATTENTION_INPUT_SHAPES = {
 def test_attention_token_gradients(seed, case):
     rng = np.random.default_rng(seed)
     _, bundle = _rand_attention_weights(rng, 4)
-    q, k, v = (Parameter(n, rng.standard_normal(s))
-               for n, s in zip("qkv", ATTENTION_INPUT_SHAPES[case]))
-    target = Tensor(rng.standard_normal(np.broadcast_shapes(q.shape[:-2], k.shape[:-2])
-                                        + q.shape[-2:]))
-    for token in (q, k, v):
-        _fd_check(lambda: mse(multi_head_attention(q, k, v, bundle, 2), target), token)
+    q, kv = (Parameter(n, rng.standard_normal(s))
+             for n, s in zip(("q", "kv"), ATTENTION_INPUT_SHAPES[case]))
+    target = Tensor(rng.standard_normal(q.shape))
+    for token in (q, kv):
+        _fd_check(lambda: mse(multi_head_attention(q, kv, bundle, 2), target), token)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -531,7 +558,7 @@ def test_self_attention_token_gradient(seed):
     _, bundle = _rand_attention_weights(rng, 4)
     x = Parameter("x", rng.standard_normal((2, 3, 4)))
     target = Tensor(rng.standard_normal((2, 3, 4)))
-    _fd_check(lambda: mse(multi_head_attention(x, x, x, bundle, 2), target), x)
+    _fd_check(lambda: mse(multi_head_attention(x, x, bundle, 2), target), x)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -630,7 +657,7 @@ def _assert_fused_matches_reference(fused, reference, params):
 # auxiliaries, M+1=5 patch tokens, n_var=3 in m2m, D=8)
 MODE_TOKEN_SHAPES = {
     "m2u": {"self": (3, 5, 8), "cross_q": (3, 1, 8), "cross_kv": (3, 4, 8)},
-    "m2m": {"self": (3, 3, 5, 8), "cross_q": (3, 3, 1, 8), "cross_kv": (3, 1, 4, 8)},
+    "m2m": {"self": (3, 3, 5, 8), "cross_q": (3, 3, 8), "cross_kv": (3, 4, 8)},
     "u2u": {"self": (3, 1, 8), "cross_q": (3, 1, 8), "cross_kv": (3, 1, 8)},
 }
 
@@ -652,30 +679,30 @@ def test_fused_attention_matches_unfused(mode):
     x, q, kv = tokens["x"], tokens["q"], tokens["kv"]
     params = {**w, "x": x}
     _assert_fused_matches_reference(
-        lambda: multi_head_attention(x, x, x, bundle, 2),
+        lambda: multi_head_attention(x, x, bundle, 2),
         lambda: ref_attention(x, x, x, bundle, 2), params)
     params = {**w, "q": q, "kv": kv}
     _assert_fused_matches_reference(
-        lambda: multi_head_attention(q, kv, kv, bundle, 2),
+        lambda: multi_head_attention(q, kv, bundle, 2),
         lambda: ref_attention(q, kv, kv, bundle, 2), params)
 
 
-# (query, key, value) token shapes with one key: several query rows against
-# a key and value broadcast over the batch, the m2m shape with one auxiliary,
-# and unbatched tokens. In the model every one-key attention has one query
-# row, so no model-level gradient check sees the sum over the query rows.
+# (query, memory) token shapes with one key: the key's value broadcast over
+# several query rows of each window, the m2m shape with one auxiliary (and so
+# one target), and unbatched tokens. In the model every one-key attention has
+# one query row, so no model-level gradient check sees the sum over the rows.
 ONE_KEY_SHAPES = {
-    "broadcast_key": ((2, 3, 8), (1, 1, 8), (1, 1, 8)),
-    "m2m": ((2, 3, 1, 8), (2, 1, 1, 8), (2, 1, 1, 8)),
-    "unbatched": ((3, 8), (1, 8), (1, 8)),
+    "broadcast_key": ((2, 3, 8), (2, 1, 8)),
+    "m2m": ((2, 1, 8), (2, 1, 8)),
+    "unbatched": ((3, 8), (1, 8)),
 }
 
 
 def _one_key_case(case):
-    """(attention weights, q/k/v tokens, every parameter) for one ONE_KEY_SHAPES case."""
+    """(attention weights, q/kv tokens, every parameter) for one ONE_KEY_SHAPES case."""
     rng = np.random.default_rng(len(case))
     w = _attention_params(rng, 8)
-    tokens = _params(rng, dict(zip("qkv", ONE_KEY_SHAPES[case])))
+    tokens = _params(rng, dict(zip(("q", "kv"), ONE_KEY_SHAPES[case])))
     return AttentionWeights(**w), tokens, {**w, **tokens}
 
 
@@ -683,20 +710,20 @@ def _one_key_case(case):
 def test_one_key_attention_matches_the_primitive_oracle(case):
     bundle, t, params = _one_key_case(case)
     _assert_fused_matches_reference(
-        lambda: multi_head_attention(t["q"], t["k"], t["v"], bundle, 2),
-        lambda: ref_attention(t["q"], t["k"], t["v"], bundle, 2), params)
+        lambda: multi_head_attention(t["q"], t["kv"], bundle, 2),
+        lambda: ref_attention(t["q"], t["kv"], t["kv"], bundle, 2), params)
 
 
 @pytest.mark.parametrize("case", sorted(ONE_KEY_SHAPES))
 def test_one_key_attention_gradients_match_finite_differences(case):
     bundle, t, params = _one_key_case(case)
-    q, k, v = t["q"], t["k"], t["v"]
-    out_shape = np.broadcast_shapes(q.shape[:-2], k.shape[:-2]) + q.shape[-2:]
-    target = Tensor(np.random.default_rng(5).standard_normal(out_shape))
-    report = grad_check(lambda: mse(multi_head_attention(q, k, v, bundle, 2), target), params)
+    q, kv = t["q"], t["kv"]
+    target = Tensor(np.random.default_rng(5).standard_normal(q.shape))
+    report = grad_check(lambda: mse(multi_head_attention(q, kv, bundle, 2), target), params)
     assert report.max_rel_error < 1e-5, str(report)
-    # the softmax over one key is constant: nothing reaches the queries or keys
-    for name in ("q", "k", "w_q", "b_q", "w_k"):
+    # the softmax over one key is constant: nothing reaches the queries or the
+    # key projection, and the memory's gradient is its value path's alone
+    for name in ("q", "w_q", "b_q", "w_k"):
         assert not params[name].grad.any(), name
 
 
@@ -768,10 +795,6 @@ def direct_attention(q_tokens, k_tokens, v_tokens, w, n_heads):
         t = np.swapaxes(t, -3, -2)
         return t.reshape(t.shape[:-2] + (d,))
 
-    def unbroadcast(g, shape):
-        g = g.sum(axis=tuple(range(g.ndim - len(shape))))
-        return g.sum(axis=tuple(i for i, s in enumerate(shape) if s == 1), keepdims=True)
-
     def grads(g, x, w_x):
         g2, x2 = g.reshape(-1, d), x.reshape(-1, d)
         return (g2 @ w_x.T).reshape(x.shape), x2.T @ g2, g2.sum(axis=0)
@@ -785,10 +808,10 @@ def direct_attention(q_tokens, k_tokens, v_tokens, w, n_heads):
     def vjp(g):
         g_ctx, g_wo, g_bo = grads(g, ctx, w["w_o"])
         g_ctx = split(g_ctx)
-        g_v = unbroadcast(np.swapaxes(attn, -1, -2) @ g_ctx, v.shape)
+        g_v = np.swapaxes(attn, -1, -2) @ g_ctx
         g_s = direct_softmax_vjp(g_ctx @ np.swapaxes(v, -1, -2), attn, -1) / np.sqrt(hd)
-        g_q = unbroadcast(g_s @ k, q.shape)
-        g_k = unbroadcast(np.swapaxes(g_s, -1, -2) @ q, k.shape)
+        g_q = g_s @ k
+        g_k = np.swapaxes(g_s, -1, -2) @ q
         g_qt, g_wq, g_bq = grads(merge(g_q), q_tokens, w["w_q"])
         g_kt, g_wk, _ = grads(merge(g_k), k_tokens, w["w_k"])
         g_vt, g_wv, g_bv = grads(merge(g_v), v_tokens, w["w_v"])
@@ -904,11 +927,12 @@ def test_gelu_matches_direct_formula_bit_for_bit():
     assert np.array_equal(gelu(Tensor(x)).data, x * (0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))))
 
 
-# (query, key/value) token shapes at D=32, H=4: m2u self-attention, m2m
-# cross-attention (B, n_var, 1, D) against shared (B, 1, C, D) keys, and u2u
+# (query, memory) token shapes at D=32, H=4: m2u self-attention, m2m
+# cross-attention of a window's (B, n_var, D) abstract tokens against its
+# (B, C, D) encoded auxiliaries, and u2u
 ATTENTION_MODEL_SHAPES = {
     "m2u": ((32, 7, 32), (32, 7, 32)),
-    "m2m": ((4, 3, 1, 32), (4, 1, 7, 32)),
+    "m2m": ((4, 3, 32), (4, 7, 32)),
     "u2u": ((32, 1, 32), (32, 1, 32)),
 }
 
@@ -919,17 +943,19 @@ def test_attention_matches_direct_formula_at_model_shapes(mode):
     rng = np.random.default_rng(len(mode))
     w = _attention_params(rng, 32)
     q = Parameter("q", rng.standard_normal(q_shape))
-    k = Parameter("k", rng.standard_normal(kv_shape))
-    v = Parameter("v", rng.standard_normal(kv_shape))
-    out = multi_head_attention(q, k, v, AttentionWeights(**w), 4)
-    expected, vjp = direct_attention(q.data, k.data, v.data,
+    kv = Parameter("kv", rng.standard_normal(kv_shape))
+    out = multi_head_attention(q, kv, AttentionWeights(**w), 4)
+    expected, vjp = direct_attention(q.data, kv.data, kv.data,
                                      {n: p.data for n, p in w.items()}, 4)
     assert_rel_close(out.data, expected)
     g = rng.standard_normal(out.shape)
     backward_with(out, g)
-    params = {**w, "q": q, "k": k, "v": v}
-    for name, direct in vjp(g).items():
-        assert_rel_close(params[name].grad, direct)
+    direct = vjp(g)
+    # the memory's gradient is its key path's plus its value path's
+    direct["kv"] = direct.pop("k") + direct.pop("v")
+    params = {**w, "q": q, "kv": kv}
+    for name, expected_grad in direct.items():
+        assert_rel_close(params[name].grad, expected_grad)
 
 
 def _at_offset(a, words):

@@ -108,3 +108,25 @@ def test_a_figure_one_side_never_reported_has_no_median():
     pairs = [{"parent": _run(100.0, 80.0), "change": _run(110.0, 80.0, reported={"wall_s": 2.0})}]
     summary = bench_pairs.summarize(pairs, BETTER, BOUNDS)
     assert summary["reported"] == {"wall_s": {"parent": None, "change": 2.0}}
+
+
+def test_the_reference_line_puts_both_sides_uncorrected_rate_beside_their_slowdown():
+    def run(rate, slowdown, uncorrected):
+        return _run(rate, 80.0, reported={"slowdown": slowdown,
+                                          "uncorrected.windows_per_s": uncorrected})
+
+    pairs = [{"parent": run(100.0, a, c), "change": run(110.0, b, d)}
+             for a, b, c, d in [(1.0, 1.3, 4000.0, 4400.0), (1.2, 1.1, 4100.0, 4300.0),
+                                (1.1, 1.2, 4200.0, 4500.0)]]
+    figures = bench_pairs.summarize(pairs, BETTER, BOUNDS)["reported"]
+    assert bench_pairs.reference_line("fed2-train", figures) == (
+        "fed2-train         median slowdown: parent 1.1  change 1.2  "
+        "median uncorrected.windows_per_s: parent 4100  change 4400")
+
+
+def test_the_reference_line_leaves_out_a_figure_one_side_lacks():
+    figures = {"slowdown": {"parent": 1.1, "change": 1.2},
+               "uncorrected.windows_per_s": {"parent": None, "change": 4400.0}}
+    assert bench_pairs.reference_line("u", figures) == (
+        "u                  median slowdown: parent 1.1  change 1.2")
+    assert bench_pairs.reference_line("u", {}) is None

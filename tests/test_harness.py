@@ -28,7 +28,7 @@ from pixtime.harness import (
     OptimizerConfig,
     _prepare,
 )
-from pixtime.model import NodeShapeConfig
+from pixtime.model import ModelDims, NodeShapeConfig
 
 
 def small_config(tmp_path, mode="federated", **overrides):
@@ -382,6 +382,40 @@ def test_run_experiment_metrics_are_byte_identical_across_reruns(tmp_path):
     a = (tmp_path / "a" / "metrics.json").read_bytes()
     b = (tmp_path / "b" / "metrics.json").read_bytes()
     assert a == b
+
+
+def _window_sets(nodes, split):
+    return [set(node.views[split].starts.tolist()) for node in nodes]
+
+
+@settings(deadline=None, max_examples=60)
+@given(strides=st.lists(st.sampled_from([1, 2, 4]), min_size=1, max_size=6),
+       length=st.integers(200, 700),
+       train=st.floats(0.3, 0.8), val=st.floats(0.01, 0.15))
+@example(strides=[1, 4, 1, 4, 4], length=400, train=0.7, val=0.1)
+def test_build_nodes_splits_each_granularitys_windows_among_its_nodes(strides, length,
+                                                                      train, val):
+    T, S = 8, 4
+    raw = {"dataset": {"synthetic": {"n_vars": 3, "length": 1000},
+                       "split": {"train": train, "val": val, "test": 1.0 - train - val}},
+           "D": 4, "L": 1, "H": 1, "d_ff": 4,
+           "network": {"n_nodes": len(strides), "strides": strides, "T": T, "S": S, "PL": 4}}
+    config = ExperimentConfig.from_dict(raw)
+    series = np.random.default_rng(0).standard_normal((length, 3))
+    nodes = harness.build_nodes(config, series, ModelDims(4, 1, 1, 4, 3), seed=0)
+    for k in set(strides):
+        group = [node for node, stride in zip(nodes, strides) if stride == k]
+        n = len(range(0, length, k))
+        train_end, val_end = config.dataset.split.boundaries(n)
+        window = (T + S) // k  # the rows of one window at this granularity
+        expected = {"train": set(range(train_end - window + 1)),
+                    "val": set(range(train_end, val_end - window + 1)),
+                    "test": set(range(val_end, n - window + 1))}
+        for split in ("train", "val"):
+            owned = _window_sets(group, split)
+            assert sum(map(len, owned)) == len(set().union(*owned)), (k, split)  # disjoint
+            assert set().union(*owned) == expected[split], (k, split)
+        assert all(s == expected["test"] for s in _window_sets(group, "test")), k
 
 
 def test_run_experiment_averaged_metrics_are_mean_of_nodes(tmp_path):
@@ -768,6 +802,24 @@ def test_cli_gen_synthetic_rejects_bad_config_with_exit_2(tmp_path, capsys, bloc
     assert cli_main(["gen-synthetic", "--config", str(path), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-synthetic", "train-fed"])
+def test_cli_synthetic_spec_too_large_to_allocate_exits_2_and_writes_nothing(
+        tmp_path, capsys, command):
+    # 10**15 rows are 7 PiB per column: numpy refuses them without touching memory
+    length = 10**15
+    if command == "gen-synthetic":
+        argv = ["gen-synthetic", "--out", str(tmp_path / "out" / "data.csv"),
+                "--length", str(length)]
+    else:
+        path = _write_config(tmp_path, dataset={"synthetic": {"n_vars": 4, "length": length}})
+        argv = ["train-fed", "--config", str(path)]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: dataset.synthetic.length={length} with n_vars=")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_gen_synthetic_config_overrides_flags(tmp_path):

@@ -545,7 +545,7 @@ def test_blocked_decode_gradients_equal_one_block(monkeypatch, mode):
 # (a one-row GEMV, a stack it cannot hand to BLAS), so these agree up to rounding
 @pytest.mark.parametrize("mode, lead, block", [
     ("forward", (), 1),         # (M + 1, D) tokens have no window axis: one block
-    ("m2m", (), 3),             # the variable axis leads: blocks of 3, 3 and 2
+    ("m2m", (), 3),             # unbatched, though 8 variables lead: one block
     ("forward", (2, 5), 5),     # 5 sequences per leading index: blocks of 1 index
     ("m2m", (2, 5), 40),        # 40 per leading index: blocks of 1 index
 ])
@@ -555,9 +555,15 @@ def test_blocked_decode_keeps_unbatched_and_two_leading_axes(monkeypatch, mode, 
     np.testing.assert_allclose(blocked, one, rtol=1e-13, atol=1e-15)
 
 
-def test_blocked_decode_broadcasts_keys_of_size_one_on_the_leading_axis(monkeypatch):
-    # unbatched m2m: the leading axis is the variable axis, the keys have size 1 there
-    monkeypatch.setattr(model_module, "DECODE_BLOCK", 3)
+# (tokens, v_aux) shapes each decoder layer sees at DECODE_BLOCK = 32, 2 layers per block
+@pytest.mark.parametrize("lead, blocks", [
+    # 8 target sequences per window: blocks of 4, 4 and 3 windows
+    ((11,), [((4, 8, 3, 8), (4, 8, 8))] * 4 + [((3, 8, 3, 8), (3, 8, 8))] * 2),
+    # unbatched: the variable axis leads and the (C, D) memory has no window axis
+    ((), [((8, 3, 8), (8, 8))] * 2),
+], ids=["batched", "unbatched"])
+def test_blocked_m2m_cuts_tokens_and_encoded_auxiliaries_together(monkeypatch, lead, blocks):
+    monkeypatch.setattr(model_module, "DECODE_BLOCK", 32)
     seen = []
     layer_fn = PiXTime.decoder_layer
 
@@ -566,11 +572,9 @@ def test_blocked_decode_broadcasts_keys_of_size_one_on_the_leading_axis(monkeypa
         return layer_fn(model, tokens, v_aux, layer)
 
     monkeypatch.setattr(PiXTime, "decoder_layer", traced)
-    out = _two_layer_model().m2m_forward(np.random.default_rng(25).standard_normal((8, 8)))
-    assert out.shape == (8, 4)
-    # blocks of 3, 3 and 2 variables, 2 layers each, every block against all the keys
-    assert [t for t, _ in seen] == [(3, 3, 8)] * 4 + [(2, 3, 8)] * 2
-    assert {v for _, v in seen} == {(1, 8, 8)}
+    series = np.random.default_rng(25).standard_normal(lead + (8, 8))
+    assert _two_layer_model().m2m_forward(series).shape == lead + (8, 4)
+    assert seen == blocks
 
 
 def test_a_default_m2u_training_step_records_112_tape_nodes():

@@ -32,7 +32,10 @@ Every run also keeps the figures its `report:` lines print, such as
 each side's median of them. The benchmark divides every time by the
 slowdown it measures with an in-process reference kernel, so a change that
 moves that kernel's own cost (its page faults depend on the program's
-allocations) moves every corrected rate; the printed slowdown medians show it.
+allocations) moves every corrected rate. So each workload's printed summary
+puts both sides' median slowdown beside their median
+`uncorrected.windows_per_s`: a corrected move that the uncorrected rates do
+not share came from the reference kernel.
 
 Standard library only; nothing under `perfbench/` is imported.
 """
@@ -163,6 +166,18 @@ def summarize(pairs: list, better: dict, bounds: dict) -> dict:
     return {"operations": operations, "reported": figures, "metrics": summary}
 
 
+def reference_line(workload: str, figures: dict) -> str | None:
+    """Both sides' median slowdown and median uncorrected windows_per_s, each when
+    both sides reported it, from a summary's `reported` medians; None if neither."""
+    parts = []
+    for name in ("slowdown", "uncorrected.windows_per_s"):
+        medians = figures.get(name)
+        if medians and None not in medians.values():
+            parts.append(f"median {name}: parent {medians['parent']:.6g}  "
+                         f"change {medians['change']:.6g}")
+    return f"{workload:<18} " + "  ".join(parts) if parts else None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -209,10 +224,9 @@ def main(argv=None) -> int:
               f"{ops['parent']['attempted']}  change {ops['change']['failed']}/"
               f"{ops['change']['attempted']}  more failures: "
               f"{'yes' if ops['more_failures'] else 'no'}")
-        slowdown = summary["reported"].get("slowdown")
-        if slowdown and None not in slowdown.values():
-            print(f"{workload:<18} median slowdown: parent {slowdown['parent']:.6g}  "
-                  f"change {slowdown['change']:.6g}")
+        line = reference_line(workload, summary["reported"])
+        if line:
+            print(line)
         for name, s in summary["metrics"].items():
             flags = ""
             if "bound" in s:

@@ -40,6 +40,8 @@ _CREATION_ORDER = itertools.count()
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# added to every layer-norm variance before the square root
+LN_EPS = 1e-5
 
 
 class no_grad:
@@ -170,12 +172,9 @@ def backward(loss: Tensor) -> None:
         raise TapeError("backward expects a Tensor")
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
-    if not loss.requires_grad:
-        raise TapeError("backward called on a value detached from the tape")
-
-    if loss._vjp is None:  # a Parameter is its own loss
-        _accumulate(loss, np.ones_like(loss.data))
-        return
+    if loss._vjp is None:
+        raise TapeError("backward needs a loss computed by an operation on the tape, "
+                        "not a leaf or a value detached from it")
 
     # the op nodes (those with a VJP) reachable from the loss, latest first
     ops: list[Tensor] = [loss]
@@ -196,18 +195,14 @@ def backward(loss: Tensor) -> None:
             if pg is None or not parent.requires_grad:
                 continue
             if parent._vjp is None:
-                _accumulate(parent, pg)
+                # in place, so a gradient that is a view of a model's gradient
+                # vector stays one; `parent.grad += pg` would also rebind it
+                # through the property setter
+                grad = parent.grad
+                grad += pg
             else:
                 acc = adjoint.get(parent)
                 adjoint[parent] = pg if acc is None else acc + pg
-
-
-def _accumulate(leaf: Parameter, g: np.ndarray) -> None:
-    """Add `g` into a leaf's gradient in place, so a gradient that is a view of
-    a model's gradient vector stays one; `leaf.grad += g` would also rebind it
-    through the property setter."""
-    grad = leaf.grad
-    grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -435,16 +430,14 @@ def _key_axes(ndim: int) -> tuple:
             (ndim - 1, *range(ndim - 1)))
 
 
-def _check_layer_norm(n: int, gain: Tensor, bias: Tensor, eps: float) -> None:
+def _check_layer_norm(n: int, gain: Tensor, bias: Tensor) -> None:
     if gain.shape != (n,) or bias.shape != (n,):
         raise ShapeError(
             f"layer_norm gain/bias must have shape ({n},), got {gain.shape} and {bias.shape}"
         )
-    if eps <= 0:
-        raise ConfigError(f"layer_norm eps must be positive, got {eps}")
 
 
-def _layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float) -> tuple:
+def _layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple:
     """Returns (output, xhat, inv_std); the last two are what the VJP needs.
 
     The row means are GEMVs over the (rows, n) view of `x`; `xhat` is
@@ -455,7 +448,7 @@ def _layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: floa
     mean = _filled(n, 1.0 / n)
     xhat = x2 - (x2 @ mean)[:, None]
     var = (xhat * xhat) @ mean
-    inv_std = 1.0 / np.sqrt(var + eps)[:, None]
+    inv_std = 1.0 / np.sqrt(var + LN_EPS)[:, None]
     xhat *= inv_std
     out = xhat * gain
     out += bias
@@ -541,11 +534,11 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _result(np.moveaxis(y, 0, axis), (x,), vjp, "softmax")
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Standardize the last axis (biased 1/n variance) then apply gain/bias."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Standardize the last axis (biased 1/n variance, plus LN_EPS) then apply gain/bias."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    _check_layer_norm(x.shape[-1], gain, bias, eps)
-    data, xhat, inv_std = _layer_norm_fwd(x.data, gain.data, bias.data, eps)
+    _check_layer_norm(x.shape[-1], gain, bias)
+    data, xhat, inv_std = _layer_norm_fwd(x.data, gain.data, bias.data)
 
     def vjp(g):
         return _layer_norm_vjp(g, xhat, inv_std, gain.data)
@@ -732,17 +725,21 @@ def ffn(x: Tensor, weights: FeedForwardWeights) -> Tensor:
     return _result(data, (x, w.w1, w.b1, w.w2, w.b2), vjp, "ffn")
 
 
-def residual_layer_norm(x: Tensor, y: Tensor, weights: LayerNormWeights,
-                        eps: float = 1e-5) -> Tensor:
-    """Post-norm residual connection: layer_norm(x + y), one tape node."""
+def residual_layer_norm(x: Tensor, y: Tensor, weights: LayerNormWeights) -> Tensor:
+    """Post-norm residual connection: layer_norm(x + y), one tape node.
+
+    `x` and `y` must have the same shape; nothing is broadcast.
+    """
     x, y = as_tensor(x), as_tensor(y)
+    if x.shape != y.shape:
+        raise ShapeError(f"residual_layer_norm inputs differ in shape: {x.shape} vs {y.shape}")
     gain, bias = as_tensor(weights.gain), as_tensor(weights.bias)
     s = x.data + y.data
-    _check_layer_norm(s.shape[-1], gain, bias, eps)
-    data, xhat, inv_std = _layer_norm_fwd(s, gain.data, bias.data, eps)
+    _check_layer_norm(s.shape[-1], gain, bias)
+    data, xhat, inv_std = _layer_norm_fwd(s, gain.data, bias.data)
 
     def vjp(g):
         g_s, g_gain, g_bias = _layer_norm_vjp(g, xhat, inv_std, gain.data)
-        return _unbroadcast(g_s, x.shape), _unbroadcast(g_s, y.shape), g_gain, g_bias
+        return g_s, g_s, g_gain, g_bias
 
     return _result(data, (x, y, gain, bias), vjp, "residual_layer_norm")

@@ -253,24 +253,16 @@ def build_node_views(standardized: np.ndarray, cfg: NodeShapeConfig, split: Spli
     train_end, val_end = split.boundaries(n)
 
     views = {}
-    train_starts = make_windows(train_end, cfg.T, cfg.S)
-    owned = train_starts[partition_windows(len(train_starts), partition_count, partition_rank)]
-    views["train"] = NodeDataView(series, owned, "train", cfg)
-
-    val_len = val_end - train_end
-    if val_len >= cfg.T + cfg.S:
-        val_starts = make_windows(val_len, cfg.T, cfg.S) + train_end
-        owned_val = val_starts[partition_windows(len(val_starts), partition_count, partition_rank)]
-    else:
-        owned_val = np.array([], dtype=np.intp)
-    views["val"] = NodeDataView(series, owned_val, "val", cfg)
-
-    test_len = n - val_end
-    if test_len >= cfg.T + cfg.S:
-        test_starts = make_windows(test_len, cfg.T, cfg.S) + val_end
-    else:
-        test_starts = np.array([], dtype=np.intp)
-    views["test"] = NodeDataView(series, test_starts, "test", cfg)
+    for name, lo, hi in (("train", 0, train_end), ("val", train_end, val_end),
+                         ("test", val_end, n)):
+        # a train split too short for one window is an error; val and test may be empty
+        if name == "train" or hi - lo >= cfg.T + cfg.S:
+            starts = make_windows(hi - lo, cfg.T, cfg.S) + lo
+        else:
+            starts = np.array([], dtype=np.intp)
+        if name != "test":
+            starts = starts[partition_windows(len(starts), partition_count, partition_rank)]
+        views[name] = NodeDataView(series, starts, name, cfg)
     return views
 
 

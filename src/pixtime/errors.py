@@ -50,13 +50,12 @@ class AggregationError(PixTimeError):
 
 
 class DivergenceError(PixTimeError):
-    """Local training produced a non-finite loss."""
+    """Local training produced a non-finite value."""
 
-    def __init__(self, node_id: int, step: int, message: str = ""):
+    def __init__(self, node_id: int, step: int, message: str):
         self.node_id = node_id
         self.step = step
-        detail = message or "non-finite training loss"
-        super().__init__(f"node {node_id} diverged at step {step}: {detail}")
+        super().__init__(f"node {node_id} diverged at step {step}: {message}")
 
 
 class EvaluationError(PixTimeError):

@@ -108,8 +108,6 @@ class FederatedNode:
                 except NumericError as exc:
                     raise DivergenceError(self.node_id, self.steps_taken, str(exc)) from exc
                 value = loss.item()
-                if not np.isfinite(value):
-                    raise DivergenceError(self.node_id, self.steps_taken)
                 self.optimizer.zero_grad()
                 backward(loss)
                 self.optimizer.step()
@@ -263,13 +261,13 @@ def run_federation(
     return records, global_shared
 
 
-def init_global_shared(dims: ModelDims, seed: int) -> dict:
-    """Server-side initial shared parameter values.
+def init_global_shared(dims: ModelDims, seed: int, use_ve: bool = True) -> dict:
+    """Server-side initial shared parameter values, with a `ve_table` when `use_ve`.
 
     Shared shapes do not depend on any node's series geometry, so a
     minimal reference configuration is used to materialize them.
     """
     ref = NodeShapeConfig(node_id=-1, T=1, S=1, PL=1, var_ids=[], target_id=0)
-    model = PiXTime(dims, ref, seed=seed)
+    model = PiXTime(dims, ref, seed=seed, use_ve=use_ve)
     # nothing else holds the reference model, so its segment needs no copy
     return model.shared_views(model.values[: model.n_shared])

@@ -324,7 +324,7 @@ def _prepare(config: ExperimentConfig, seed: int) -> tuple:
     standardized, _, _ = standardize(raw, config.dataset.split)
     dims = ModelDims(config.D, config.L, config.H, config.d_ff, raw.values.shape[1])
     nodes = build_nodes(config, standardized.values, dims, seed)
-    global_shared = init_global_shared(dims, seed)
+    global_shared = init_global_shared(dims, seed, config.use_ve)
     for node in nodes:
         node.load_shared(global_shared)
     return nodes, global_shared
@@ -403,7 +403,7 @@ def gradcheck_experiment(config: ExperimentConfig) -> dict:
     }
     report = {}
     for name, f in checks.items():
-        result = grad_check(f, model.params, h=1e-5)
+        result = grad_check(f, model.params)
         report[name] = {
             "max_rel_error": result.max_rel_error,
             "worst_param": result.worst_param,

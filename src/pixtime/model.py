@@ -43,7 +43,6 @@ from .autodiff import (
 )
 from .errors import CategoryError, ConfigError, PartitionError, ShapeError
 
-LN_EPS = 1e-5
 # Target sequences per decoder block: at M + 1 = 7, d_ff = 64 a block's FFN
 # hidden array (0.9 MB) fits a 2 MiB L2 cache, where a batch-256 m2m pass at
 # C = 7 made 7.3 MB arrays that malloc handed back to the kernel every batch.
@@ -217,9 +216,10 @@ class PiXTime:
         )
         self.ve_w = self._param("ve_linear.weight", _xavier(rng, node.T, D))
         self.ve_b = self._param("ve_linear.bias", np.zeros(D))
-        # zero init keeps the with-table and without-table models identical
-        # at step 0, so the ablation isolates what training adds
-        self.ve_table = self._param("ve_table", np.zeros((dims.n_all, D)))
+        if self.use_ve:
+            # zero init keeps the with-table and without-table models identical
+            # at step 0, so the ablation isolates what training adds
+            self.ve_table = self._param("ve_table", np.zeros((dims.n_all, D)))
 
         self.encoder_layers = []
         for layer in range(dims.L):
@@ -280,8 +280,7 @@ class PiXTime:
             )
         patches = patch_split(x, self.node.PL)
         tokens = ad.linear(patches, self.patch_w, self.patch_b)
-        head = ad.reshape(self.abstract_token, (1, self.dims.D))
-        head = ad.broadcast_to(head, tokens.shape[:-2] + (1, self.dims.D))
+        head = ad.broadcast_to(self.abstract_token, tokens.shape[:-2] + (1, self.dims.D))
         return ad.concat([head, tokens], axis=-2)
 
     def variable_embed(self, Z, var_ids=None) -> Tensor:
@@ -316,8 +315,8 @@ class PiXTime:
         H = self.dims.H
         for lp in self.encoder_layers:
             att = ad.multi_head_attention(x, x, lp["self_att"], H)
-            x = ad.residual_layer_norm(x, att, lp["ln1"], LN_EPS)
-            x = ad.residual_layer_norm(x, ad.ffn(x, lp["ffn"]), lp["ln2"], LN_EPS)
+            x = ad.residual_layer_norm(x, att, lp["ln1"])
+            x = ad.residual_layer_norm(x, ad.ffn(x, lp["ffn"]), lp["ln2"])
         return x
 
     def decoder_layer(self, tokens: Tensor, v_aux: Tensor, layer: int) -> Tensor:
@@ -339,16 +338,16 @@ class PiXTime:
 
         queries = ad.slice_axis(tokens, -2, 1, n_tokens) if last else tokens
         att = ad.multi_head_attention(queries, tokens, lp["self_att"], H)
-        t = ad.residual_layer_norm(queries, att, lp["ln1"], LN_EPS)
+        t = ad.residual_layer_norm(queries, att, lp["ln1"])
 
         if not last:
             head = ad.slice_axis(t, -2, 0, 1)
             # (..., n_var, 1, D) -> (..., n_var, D); m2u and u2u keep their shape
             rows = ad.reshape(head, v_aux.shape[:-2] + (-1, self.dims.D))
             cross = ad.multi_head_attention(rows, v_aux, lp["cross_att"], H)
-            head = ad.reshape(ad.residual_layer_norm(rows, cross, lp["ln2"], LN_EPS), head.shape)
+            head = ad.reshape(ad.residual_layer_norm(rows, cross, lp["ln2"]), head.shape)
             t = ad.concat([head, ad.slice_axis(t, -2, 1, n_tokens)], axis=-2)
-        return ad.residual_layer_norm(t, ad.ffn(t, lp["ffn"]), lp["ln3"], LN_EPS)
+        return ad.residual_layer_norm(t, ad.ffn(t, lp["ffn"]), lp["ln3"])
 
     def projection(self, tokens: Tensor) -> Tensor:
         """Flatten (..., M, D) patch tokens, the last decoder layer's output, to length S."""
@@ -391,8 +390,9 @@ class PiXTime:
     def m2m_forward(self, all_series, var_ids=None) -> Tensor:
         """Joint forecast of every variable: (..., T, n_var) -> (..., n_var, S).
 
-        All variables form the auxiliary set (one encoder pass); each
-        variable is also patch-embedded as a target, so a window holds
+        `forward` with every variable as both auxiliary and target: all
+        variables form the auxiliary set (one encoder pass), and the
+        transposed series gives (..., n_var, T) targets, so a window holds
         n_var target sequences whose abstract tokens are the query rows of
         one cross-attention over the window's encoded auxiliaries. The
         decoder runs over them in blocks of whole windows (see `decode`).
@@ -406,9 +406,7 @@ class PiXTime:
             raise ShapeError(
                 f"series matrix has {series.shape[-1]} columns but {n_var} ids given"
             )
-        v_aux = self.variable_embed(series, ids)
-        v_enc = self.aux_encoder(v_aux)
-        return self.decode(self.patch_embed(ad.swapaxes(series, -1, -2)), v_enc)
+        return self.forward(ad.swapaxes(series, -1, -2), series, ids)
 
     def u2u_forward(self, x) -> Tensor:
         """Univariate forecast: the target is copied in as its own auxiliary."""

@@ -1,5 +1,7 @@
 """Primitive operations against independent naive oracles, plus tape rules."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -170,12 +172,12 @@ def test_softmax_rows_sum_to_one(seed):
 # ---------------------------------------------------------------------------
 
 def test_layer_norm_zero_variance():
-    out = layer_norm(Tensor([5.0, 5.0]), Tensor([1.0, 1.0]), Tensor([0.0, 0.0]), 1e-5)
+    out = layer_norm(Tensor([5.0, 5.0]), Tensor([1.0, 1.0]), Tensor([0.0, 0.0]))
     assert np.array_equal(out.data, [0.0, 0.0])
 
 
 def test_layer_norm_already_standardized():
-    out = layer_norm(Tensor([1.0, -1.0]), Tensor([1.0, 1.0]), Tensor([0.0, 0.0]), 1e-5)
+    out = layer_norm(Tensor([1.0, -1.0]), Tensor([1.0, 1.0]), Tensor([0.0, 0.0]))
     assert np.allclose(out.data, [1.0, -1.0], atol=1e-4)
 
 
@@ -185,7 +187,7 @@ def test_layer_norm_matches_direct_formula(seed):
     x = rng.standard_normal(9)
     gain = rng.standard_normal(9)
     bias = rng.standard_normal(9)
-    out = layer_norm(Tensor(x), Tensor(gain), Tensor(bias), 1e-5).data
+    out = layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
     assert np.max(np.abs(out - naive_layer_norm(x, gain, bias, 1e-5))) < 1e-12
 
 
@@ -194,7 +196,7 @@ def test_layer_norm_standardizes(seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((3, 8)) * 4
     ones, zeros = Tensor(np.ones(8)), Tensor(np.zeros(8))
-    out = layer_norm(Tensor(x), ones, zeros, 1e-5).data
+    out = layer_norm(Tensor(x), ones, zeros).data
     assert np.max(np.abs(out.mean(axis=-1))) < 1e-10
     assert np.max(np.abs(out.var(axis=-1) - 1.0)) < 1e-4
 
@@ -369,6 +371,14 @@ def test_backward_on_detached_value_raises():
         backward(Tensor(3.0))
 
 
+def test_backward_on_a_parameter_raises():
+    # a loss must be an operation's result; a leaf is not its own loss
+    w = Parameter("w", np.array(2.0))
+    with pytest.raises(TapeError):
+        backward(w)
+    assert w.grad == 0.0
+
+
 def test_backward_requires_scalar():
     w = Parameter("w", np.array([1.0, 2.0]))
     with pytest.raises(ShapeError):
@@ -438,7 +448,7 @@ def test_op_gradients_match_finite_differences(seed):
     _fd_check(lambda: mse(softmax(p, axis=-1), target), p)
     _fd_check(
         lambda: mse(
-            layer_norm(p, Tensor(np.ones(4)), Tensor(np.zeros(4)), 1e-5), target
+            layer_norm(p, Tensor(np.ones(4)), Tensor(np.zeros(4))), target
         ),
         p,
     )
@@ -448,7 +458,7 @@ def test_op_gradients_match_finite_differences(seed):
 
     gain = Parameter("gain", rng.standard_normal(4))
     _fd_check(
-        lambda: mse(layer_norm(Tensor(p.data), gain, Tensor(np.zeros(4)), 1e-5), target),
+        lambda: mse(layer_norm(Tensor(p.data), gain, Tensor(np.zeros(4))), target),
         gain,
     )
 
@@ -585,6 +595,15 @@ def test_linear_gradients_for_every_input(x_shape):
         _fd_check(lambda: mse(linear(x, w, b), target), p)
 
 
+@pytest.mark.parametrize("x_shape,y_shape", [((2, 3, 4), (3, 4)), ((2, 1, 4), (2, 3, 4)),
+                                              ((3, 4), (1, 4))])
+def test_residual_layer_norm_rejects_inputs_of_unequal_shape(x_shape, y_shape):
+    ln = LayerNormWeights(Tensor(np.ones(4)), Tensor(np.zeros(4)))
+    with pytest.raises(ShapeError, match=rf"{re.escape(str(x_shape))} vs "
+                                         rf"{re.escape(str(y_shape))}"):
+        residual_layer_norm(Tensor(np.zeros(x_shape)), Tensor(np.zeros(y_shape)), ln)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_residual_layer_norm_gradients_for_every_input(seed):
     rng = np.random.default_rng(seed)
@@ -594,7 +613,7 @@ def test_residual_layer_norm_gradients_for_every_input(seed):
                           Parameter("bias", rng.standard_normal(4)))
     target = Tensor(rng.standard_normal((2, 3, 4)))
     for p in (x, y, ln.gain, ln.bias):
-        _fd_check(lambda: mse(residual_layer_norm(x, y, ln, 1e-5), target), p)
+        _fd_check(lambda: mse(residual_layer_norm(x, y, ln), target), p)
 
 
 # ---------------------------------------------------------------------------
@@ -624,8 +643,8 @@ def ref_ffn(x, w):
     return ref_linear(gelu(ref_linear(x, w.w1, w.b1)), w.w2, w.b2)
 
 
-def ref_residual_layer_norm(x, y, ln, eps):
-    return layer_norm(add(x, y), ln.gain, ln.bias, eps)
+def ref_residual_layer_norm(x, y, ln):
+    return layer_norm(add(x, y), ln.gain, ln.bias)
 
 
 def _params(rng, shapes, scale_by=1.0):
@@ -746,8 +765,8 @@ def test_fused_ffn_linear_and_residual_layer_norm_match_unfused(mode):
         lambda: ffn(p["x"], f_w), lambda: ref_ffn(p["x"], f_w),
         pick("x", "w1", "b1", "w2", "b2"))
     _assert_fused_matches_reference(
-        lambda: residual_layer_norm(p["x"], p["y"], ln, 1e-5),
-        lambda: ref_residual_layer_norm(p["x"], p["y"], ln, 1e-5),
+        lambda: residual_layer_norm(p["x"], p["y"], ln),
+        lambda: ref_residual_layer_norm(p["x"], p["y"], ln),
         pick("x", "y", "gain", "bias"))
 
 
@@ -896,8 +915,8 @@ def test_layer_norm_kernels_match_direct_formula(shape, layout):
     expected_grads = vjp(g)
     px = Parameter("x", non_contiguous(layout, x))
     py = Parameter("y", non_contiguous(layout, y))
-    for out in (layer_norm(add(px, py), ln.gain, ln.bias, 1e-5),
-                residual_layer_norm(px, py, ln, 1e-5)):
+    for out in (layer_norm(add(px, py), ln.gain, ln.bias),
+                residual_layer_norm(px, py, ln)):
         for p in (px, py, ln.gain, ln.bias):
             p.zero_grad()
         assert_rel_close(out.data, expected)
@@ -971,10 +990,8 @@ def _at_offset(a, words):
 KERNEL_CALLS = {
     "softmax_fwd": (ad._softmax_fwd, [(7, 32, 4, 7)]),
     "softmax_vjp": (ad._softmax_vjp, [(7, 32, 4, 7), (7, 32, 4, 7)]),
-    "layer_norm_fwd": (lambda x, gain, bias: ad._layer_norm_fwd(x, gain, bias, 1e-5),
-                       [(32, 7, 32), (32,), (32,)]),
-    "layer_norm_fwd_long_rows": (lambda x, gain, bias: ad._layer_norm_fwd(x, gain, bias, 1e-5),
-                                 [(1792, 33), (33,), (33,)]),
+    "layer_norm_fwd": (ad._layer_norm_fwd, [(32, 7, 32), (32,), (32,)]),
+    "layer_norm_fwd_long_rows": (ad._layer_norm_fwd, [(1792, 33), (33,), (33,)]),
     "layer_norm_vjp": (ad._layer_norm_vjp, [(32, 7, 32), (224, 32), (224, 1), (32,)]),
     "linear_vjp": (lambda g, x2, w: ad._linear_vjp(g, x2, w, x2.shape),
                    [(224, 32), (224, 32), (32, 32)]),

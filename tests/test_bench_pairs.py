@@ -2,6 +2,7 @@
 the failed-operation shares that a comparison of two revisions is judged by."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -130,3 +131,29 @@ def test_the_reference_line_leaves_out_a_figure_one_side_lacks():
     assert bench_pairs.reference_line("u", figures) == (
         "u                  median slowdown: parent 1.1  change 1.2")
     assert bench_pairs.reference_line("u", {}) is None
+
+
+def test_every_finished_pair_is_on_disk_when_a_later_run_stops_the_tool(tmp_path, monkeypatch):
+    calls = []
+
+    def run_once(tree, workload, seed, seconds, trace):
+        calls.append((workload, seed))
+        if len(calls) == 3:  # the second pair's first run prints no result line
+            raise SystemExit(f"{workload} seed {seed}: no result")
+        return {"exit_code": 0, "correct": True, "attempted": 10, "failed": 0,
+                "metrics": {"windows_per_s": 100.0 + len(calls)}, "reported": {},
+                "environment": None}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "")
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--parent", "HEAD", "--workload", "fed2-train", "--seeds", "1", "2",
+                          "--seconds", "1", "--out", str(out)])
+    record = json.loads(out.read_text())
+    assert [(p["seed"], p["first"]) for p in record["pairs"]] == [(1, "parent")]
+    pair = record["pairs"][0]
+    assert pair["parent"]["metrics"] == {"windows_per_s": 101.0}
+    assert pair["change"]["metrics"] == {"windows_per_s": 102.0}
+    assert record["summary"] == {}

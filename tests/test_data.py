@@ -309,6 +309,15 @@ def test_node_views_test_split_is_full_copy():
     assert np.array_equal(a["test"].starts, b["test"].starts)
 
 
+def test_node_views_reject_a_train_split_shorter_than_one_window():
+    # 100 rows at train 0.3: 30 train rows against T + S = 32, while val (20)
+    # and test (50) are long enough for none and some windows respectively
+    cfg = NodeShapeConfig(node_id=0, T=24, S=8, PL=4, var_ids=[1, 2], target_id=0)
+    data = np.random.default_rng(4).standard_normal((100, 4))
+    with pytest.raises(DataError, match="30.*look-back 24.*horizon 8"):
+        build_node_views(data, cfg, SplitSpec(0.3, 0.2, 0.5))
+
+
 def test_gather_batch_windows_are_contiguous_non_overlapping():
     views, data = _views_for(n_nodes=2, node_id=0)
     starts = views["train"].starts[:3]

@@ -384,6 +384,16 @@ def test_run_experiment_metrics_are_byte_identical_across_reruns(tmp_path):
     assert a == b
 
 
+def test_a_run_without_the_table_addition_builds_sends_and_logs_no_table(tmp_path):
+    config = small_config(tmp_path, use_ve=False)
+    nodes, global_shared = _prepare(config, 0)
+    assert "ve_table" not in global_shared
+    assert all("ve_table" not in node.model.params for node in nodes)
+    run_experiment(config)
+    rounds = (tmp_path / "out" / "rounds.csv").read_text()
+    assert "target_decoder" in rounds and "ve_table" not in rounds
+
+
 def _window_sets(nodes, split):
     return [set(node.views[split].starts.tolist()) for node in nodes]
 

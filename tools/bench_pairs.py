@@ -37,6 +37,10 @@ puts both sides' median slowdown beside their median
 `uncorrected.windows_per_s`: a corrected move that the uncorrected rates do
 not share came from the reference kernel.
 
+The output file is rewritten after every pair, so a run that stops early
+(say, a run that prints no result line) keeps the pairs it finished; the
+summary is added once the last pair is done.
+
 Standard library only; nothing under `perfbench/` is imported.
 """
 
@@ -178,6 +182,10 @@ def reference_line(workload: str, figures: dict) -> str | None:
     return f"{workload:<18} " + "  ".join(parts) if parts else None
 
 
+def save(record: dict, path: Path) -> None:
+    path.write_text(json.dumps(record, indent=1) + "\n")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -214,10 +222,11 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side}: windows_per_s {rate} "
                           f"failed {pair[side]['failed']}", flush=True)
                 record["pairs"].append(pair)
+                save(record, args.out)
     for workload in args.workload:
         pairs = [p for p in record["pairs"] if p["workload"] == workload]
         record["summary"][workload] = summarize(pairs, better, bounds)
-    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    save(record, args.out)
     for workload, summary in record["summary"].items():
         ops = summary["operations"]
         print(f"{workload:<18} operations failed: parent {ops['parent']['failed']}/"

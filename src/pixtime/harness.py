@@ -216,44 +216,35 @@ class Metrics:
         return {"mse": self.mse, "mae": self.mae, "per_step_mse": self.per_step_mse}
 
 
-def _metrics_from_errors(sq_sum: np.ndarray, abs_sum: float, n_windows: int, S: int) -> Metrics:
-    per_step = sq_sum / n_windows
-    return Metrics(
-        mse=float(per_step.mean()),
-        mae=float(abs_sum / (n_windows * S)),
-        per_step_mse=[float(v) for v in per_step],
-    )
+def _score(view: NodeDataView, predict, batch: int) -> Metrics:
+    """MSE/MAE of `predict(x, Z)`, given `batch` windows at a time, over the view's windows."""
+    if len(view.starts) == 0:
+        raise EvaluationError(f"node {view.cfg.node_id}: empty evaluation split")
+    n, S = len(view.starts), view.cfg.S
+    sq_sum = np.zeros(S)
+    abs_sum = 0.0
+    for lo in range(0, n, batch):
+        x, Z, y = gather_batch(view, view.starts[lo : lo + batch])
+        err = predict(x, Z) - y
+        sq_sum += (err * err).sum(axis=0)
+        abs_sum += np.abs(err).sum()
+    per_step = sq_sum / n
+    return Metrics(mse=float(per_step.mean()), mae=float(abs_sum / (n * S)),
+                   per_step_mse=[float(v) for v in per_step])
 
 
 def evaluate(node: FederatedNode, view: NodeDataView | None = None,
              eval_batch: int = 256) -> Metrics:
     """Standardized-scale MSE/MAE of the node's model over its test windows."""
     view = view if view is not None else node.views["test"]
-    if len(view.starts) == 0:
-        raise EvaluationError(f"node {view.cfg.node_id}: empty evaluation split")
-    S = view.cfg.S
-    sq_sum = np.zeros(S)
-    abs_sum = 0.0
     with no_grad():
-        for lo in range(0, len(view.starts), eval_batch):
-            x, Z, y = gather_batch(view, view.starts[lo : lo + eval_batch])
-            pred = node.model.forward(x, Z).data
-            err = pred - y
-            sq_sum += (err * err).sum(axis=0)
-            abs_sum += np.abs(err).sum()
-    return _metrics_from_errors(sq_sum, abs_sum, len(view.starts), S)
+        return _score(view, lambda x, Z: node.model.forward(x, Z).data, eval_batch)
 
 
 def persistence_baseline(view: NodeDataView) -> Metrics:
     """Repeat the last observed target value across the horizon."""
-    if len(view.starts) == 0:
-        raise EvaluationError(f"node {view.cfg.node_id}: empty evaluation split")
-    S = view.cfg.S
-    x, _, y = gather_batch(view, view.starts)
-    pred = np.repeat(x[:, -1:], S, axis=1)
-    err = pred - y
-    return _metrics_from_errors((err * err).sum(axis=0), float(np.abs(err).sum()),
-                                len(view.starts), S)
+    return _score(view, lambda x, Z: np.repeat(x[:, -1:], view.cfg.S, axis=1),
+                  len(view.starts))
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +296,11 @@ def build_nodes(config: ExperimentConfig, standardized: np.ndarray,
             standardized, cfg, config.dataset.split,
             partition_count=len(group), partition_rank=group.index(node_id),
         )
+        if len(views["test"].starts) == 0:  # every mode scores the test split
+            raise ConfigError(
+                f"dataset.split.test={config.dataset.split.test} holds no window for node "
+                f"{node_id} at stride {stride}: one spans network.T + network.S = "
+                f"{net.T + net.S} rows")
         nodes.append(
             FederatedNode(
                 dims,
@@ -401,16 +397,25 @@ def gradcheck_experiment(config: ExperimentConfig) -> dict:
         "m2m": lambda: mse(model.m2m_forward(all_series, var_ids=[0, 1, 2]), Y_all),
         "u2u": lambda: mse(model.u2u_forward(x), y),
     }
-    report = {}
-    for name, f in checks.items():
-        result = grad_check(f, model.params)
-        report[name] = {
-            "max_rel_error": result.max_rel_error,
-            "worst_param": result.worst_param,
-        }
+    report = {name: asdict(grad_check(f, model.params)) for name, f in checks.items()}
     report["tolerance"] = 1e-4
     report["pass"] = all(v["max_rel_error"] < 1e-4 for v in (report["m2u"], report["m2m"], report["u2u"]))
     return report
+
+
+def _seed_sweep(config: ExperimentConfig, settings: dict, score) -> dict:
+    """Train each labelled config at every seed; a seed's entry holds the labelled
+    results `score(label, nodes)` gives, and each label's mse and mae get a median."""
+    per_seed = []
+    for seed in range(config.seed, config.seed + config.n_seeds):
+        entry = {"seed": seed}
+        for label, cfg in settings.items():
+            nodes, _ = _train_federated(cfg, seed)
+            entry.update(score(label, nodes))
+        per_seed.append(entry)
+    medians = {label: _reduce_errors([e[label] for e in per_seed], np.median)
+               for label in per_seed[0] if label != "seed"}
+    return {"seeds": per_seed, "median": medians}
 
 
 def ablate_granularity(config: ExperimentConfig) -> dict:
@@ -422,19 +427,14 @@ def ablate_granularity(config: ExperimentConfig) -> dict:
     are reported.
     """
     k = config.ablation_stride
-    out = {"stride": k, "settings": {}}
     settings = {"mix": _variant(config, network={"n_nodes": 2, "strides": [1, k]}),
                 "fine": _solo(config, 1), "coarse": _solo(config, k)}
-    for name, cfg in settings.items():
-        per_seed = []
-        for seed in range(config.seed, config.seed + config.n_seeds):
-            nodes, _ = _train_federated(cfg, seed)
-            entry = {"seed": seed}
-            for node in nodes:
-                entry["fine" if node.cfg.stride == 1 else "coarse"] = evaluate(node).to_dict()
-            per_seed.append(entry)
-        out["settings"][name] = {"seeds": per_seed, "median": _seed_medians(per_seed)}
-    return out
+
+    def by_stride(_, nodes):
+        return {"fine" if n.cfg.stride == 1 else "coarse": evaluate(n).to_dict() for n in nodes}
+
+    return {"stride": k, "settings": {name: _seed_sweep(config, {name: cfg}, by_stride)
+                                      for name, cfg in settings.items()}}
 
 
 def ablate_ve(config: ExperimentConfig) -> dict:
@@ -444,25 +444,16 @@ def ablate_ve(config: ExperimentConfig) -> dict:
     subset sizes. Zero table init makes the pair identical at step 0.
     """
     sizes = config.subset_sizes or [config.network.subset_size]
-    out = {"subset_sizes": list(sizes), "sweeps": {}}
+
+    def node_mean(label, nodes):
+        return {label: _reduce_errors([evaluate(n).to_dict() for n in nodes], np.mean)}
+
+    sweeps = {}
     for size in sizes:
         pair = {"ve": _variant(config, network={"subset_size": size}, use_ve=True),
                 "nove": _variant(config, network={"subset_size": size}, use_ve=False)}
-        per_seed = []
-        for seed in range(config.seed, config.seed + config.n_seeds):
-            entry = {"seed": seed}
-            for label, cfg in pair.items():
-                nodes, _ = _train_federated(cfg, seed)
-                entry[label] = _reduce_errors([evaluate(n).to_dict() for n in nodes], np.mean)
-            per_seed.append(entry)
-        out["sweeps"][str(size)] = {"seeds": per_seed, "median": _seed_medians(per_seed)}
-    return out
-
-
-def _seed_medians(per_seed: list) -> dict:
-    """The median mse and mae over seeds of each labelled result a seed entry holds."""
-    return {label: _reduce_errors([e[label] for e in per_seed], np.median)
-            for label in per_seed[0] if label != "seed"}
+        sweeps[str(size)] = _seed_sweep(config, pair, node_mean)
+    return {"subset_sizes": list(sizes), "sweeps": sweeps}
 
 
 # ---------------------------------------------------------------------------
@@ -509,15 +500,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     with np.errstate(over="ignore", invalid="ignore"):
         if config.mode == "gradcheck":
             metrics["gradcheck"] = gradcheck_experiment(config)
-        elif config.mode in ("central", "federated"):
+        elif config.mode in ("central", "federated", "evaluate"):
             trained = config
             if config.mode == "central":  # node 0 alone, with the same epoch budget
                 trained = _solo(config, config.network.strides[0])
+            elif config.mode == "evaluate":  # the untrained models: no round runs
+                trained = _variant(config, rounds=0)
             nodes, records = _train_federated(trained, config.seed)
             round_rows = _round_rows(records)
-            metrics.update(_node_report(nodes))
-        elif config.mode == "evaluate":
-            nodes, _ = _prepare(config, config.seed)
             metrics.update(_node_report(nodes))
         elif config.mode == "ablate-granularity":
             metrics["granularity"] = ablate_granularity(config)

@@ -402,10 +402,6 @@ class PiXTime:
         n_var = len(ids)
         if n_var < 1:
             raise ConfigError("m2m requires at least one variable")
-        if series.shape[-1] != n_var:
-            raise ShapeError(
-                f"series matrix has {series.shape[-1]} columns but {n_var} ids given"
-            )
         return self.forward(ad.swapaxes(series, -1, -2), series, ids)
 
     def u2u_forward(self, x) -> Tensor:

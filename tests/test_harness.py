@@ -21,6 +21,7 @@ from pixtime import ExperimentConfig, evaluate, harness, persistence_baseline, r
 from pixtime.cli import main as cli_main
 from pixtime.data import SYNTHETIC_MINIMA, NodeDataView, RawDataset, SplitSpec, build_node_views
 from pixtime.errors import ConfigError, EvaluationError
+from pixtime.federation import FederatedNode
 from pixtime.harness import (
     DatasetConfig,
     Metrics,
@@ -348,6 +349,10 @@ def test_evaluate_empty_split_raises():
 
     with pytest.raises(EvaluationError):
         persistence_baseline(view)
+    with pytest.raises(EvaluationError):
+        evaluate(FakeNode(), view)
+    with pytest.raises(EvaluationError):
+        evaluate(FakeNode())
 
 
 def test_perfect_predictions_give_zero_metrics(tmp_path):
@@ -403,6 +408,7 @@ def _window_sets(nodes, split):
        length=st.integers(200, 700),
        train=st.floats(0.3, 0.8), val=st.floats(0.01, 0.15))
 @example(strides=[1, 4, 1, 4, 4], length=400, train=0.7, val=0.1)
+@example(strides=[2], length=200, train=0.8, val=0.15)  # 5 test rows, 6-row windows
 def test_build_nodes_splits_each_granularitys_windows_among_its_nodes(strides, length,
                                                                       train, val):
     T, S = 8, 4
@@ -412,20 +418,27 @@ def test_build_nodes_splits_each_granularitys_windows_among_its_nodes(strides, l
            "network": {"n_nodes": len(strides), "strides": strides, "T": T, "S": S, "PL": 4}}
     config = ExperimentConfig.from_dict(raw)
     series = np.random.default_rng(0).standard_normal((length, 3))
-    nodes = harness.build_nodes(config, series, ModelDims(4, 1, 1, 4, 3), seed=0)
+    expected = {}
     for k in set(strides):
-        group = [node for node, stride in zip(nodes, strides) if stride == k]
         n = len(range(0, length, k))
         train_end, val_end = config.dataset.split.boundaries(n)
         window = (T + S) // k  # the rows of one window at this granularity
-        expected = {"train": set(range(train_end - window + 1)),
-                    "val": set(range(train_end, val_end - window + 1)),
-                    "test": set(range(val_end, n - window + 1))}
+        expected[k] = {"train": set(range(train_end - window + 1)),
+                       "val": set(range(train_end, val_end - window + 1)),
+                       "test": set(range(val_end, n - window + 1))}
+    if not all(e["test"] for e in expected.values()):
+        # every mode scores the test split, so a node without a test window is a config error
+        with pytest.raises(ConfigError, match=r"^dataset\.split\.test=.* holds no window"):
+            harness.build_nodes(config, series, ModelDims(4, 1, 1, 4, 3), seed=0)
+        return
+    nodes = harness.build_nodes(config, series, ModelDims(4, 1, 1, 4, 3), seed=0)
+    for k, windows in expected.items():
+        group = [node for node, stride in zip(nodes, strides) if stride == k]
         for split in ("train", "val"):
             owned = _window_sets(group, split)
             assert sum(map(len, owned)) == len(set().union(*owned)), (k, split)  # disjoint
-            assert set().union(*owned) == expected[split], (k, split)
-        assert all(s == expected["test"] for s in _window_sets(group, "test")), k
+            assert set().union(*owned) == windows[split], (k, split)
+        assert all(s == windows["test"] for s in _window_sets(group, "test")), k
 
 
 def test_run_experiment_averaged_metrics_are_mean_of_nodes(tmp_path):
@@ -449,6 +462,18 @@ def test_zero_round_federated_run_evaluates_untrained_models(tmp_path):
     rows = (result.out_dir / "rounds.csv").read_text().splitlines()
     assert rows[0].startswith("round,")
     assert len(rows) == 1  # header only
+
+
+def test_evaluate_mode_is_a_zero_round_federated_run(tmp_path):
+    # the evaluate config keeps rounds: 2, which evaluate mode does not run
+    evaluated = run_experiment(small_config(tmp_path, mode="evaluate", out_dir=str(tmp_path / "e")))
+    federated = run_experiment(small_config(tmp_path, rounds=0, out_dir=str(tmp_path / "f")))
+    metrics = []
+    for result in (evaluated, federated):
+        assert (result.out_dir / "rounds.csv").read_text() == ",".join(harness.ROUND_COLUMNS) + "\n"
+        metrics.append(json.loads((result.out_dir / "metrics.json").read_text()))
+    assert (metrics[0].pop("mode"), metrics[1].pop("mode")) == ("evaluate", "federated")
+    assert metrics[0] == metrics[1]
 
 
 def test_gradcheck_mode_reports_small_error(tmp_path):
@@ -756,6 +781,26 @@ def test_cli_diverging_run_exits_1_naming_node_and_step_and_writes_nothing(tmp_p
     err = capsys.readouterr().err
     assert ("error: node 0 diverged at step 1: multi_head_attention produced "
             "non-finite values from finite inputs") in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train-fed", "train-central", "evaluate",
+                                     "ablate-granularity", "ablate-ve"])
+def test_cli_a_test_split_without_a_window_exits_2_before_training(tmp_path, capsys,
+                                                                   monkeypatch, command):
+    def train_epochs(self, epochs):
+        pytest.fail("a node trained on a config whose test split holds no window")
+
+    monkeypatch.setattr(FederatedNode, "train_epochs", train_epochs)
+    # 1000 rows leave 50 test rows; one window spans T + S = 80
+    path = _write_config(tmp_path, rounds=3,
+                         dataset={"synthetic": {"n_vars": 4, "length": 1000},
+                                  "split": {"train": 0.85, "val": 0.1, "test": 0.05}},
+                         network={"n_nodes": 2, "strides": [1, 1], "T": 64, "S": 16, "PL": 16})
+    assert cli_main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert ("config error: dataset.split.test=0.05 holds no window for node 0 at stride 1: "
+            "one spans network.T + network.S = 80 rows") in err
     assert not (tmp_path / "out").exists()
 
 

@@ -600,6 +600,13 @@ def test_m2m_rejects_empty_variable_set():
         model.m2m_forward(np.zeros((8, 0)), var_ids=[])
 
 
+@pytest.mark.parametrize("columns, ids, n_ids", [(2, [0, 1, 2], 3), (3, [0, 1], 2), (2, None, 3)])
+def test_m2m_rejects_a_series_whose_columns_do_not_match_its_ids(columns, ids, n_ids):
+    # the default ids are the target and the node's two auxiliaries
+    with pytest.raises(ShapeError, match=f"has {columns} columns but {n_ids} ids given"):
+        tiny_model().m2m_forward(np.zeros((8, columns)), var_ids=ids)
+
+
 def test_u2u_equals_forward_with_copied_column():
     model = tiny_model(seed=21)
     rng = np.random.default_rng(21)

@@ -116,7 +116,8 @@ def standardize(data: RawDataset, split: SplitSpec) -> tuple:
     train = data.values[:train_end]
     means = train.mean(axis=0)
     stds = np.maximum(train.std(axis=0), STD_FLOOR)
-    standardized = (data.values - means) / stds
+    standardized = data.values - means
+    standardized /= stds
     return RawDataset(column_names=list(data.column_names), values=standardized), means, stds
 
 
@@ -206,7 +207,8 @@ def generate_synthetic(
     max_lag = max((lag for _, _, lag in couplings), default=0)
     try:
         t_ext = np.arange(-max_lag, length, dtype=np.float64)
-        aux = np.sin(2.0 * np.pi * t_ext[:, None] / periods + phases)
+        # formed variable-major, so each broadcast runs along time, not along n_aux
+        aux = np.sin(2.0 * np.pi * t_ext / periods[:, None] + phases[:, None]).T
         if noise_sigma > 0:
             aux = aux + noise_sigma * rng.standard_normal(aux.shape)
 

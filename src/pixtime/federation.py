@@ -17,7 +17,7 @@ import numpy as np
 from .autodiff import backward, mse
 from .data import NodeDataView, gather_batch
 from .errors import AggregationError, ConfigError, DivergenceError, NumericError, PartitionError
-from .model import ModelDims, NodeShapeConfig, PiXTime, named_views, partition
+from .model import ModelDims, NodeShapeConfig, PiXTime, named_views
 from .optim import Adam
 
 
@@ -76,13 +76,14 @@ class FederatedNode:
         return self.model.shared_values()
 
     def load_shared(self, values: dict) -> None:
-        shared, _ = partition(self.model.params)
-        if set(values) != set(shared):
+        names = self.model.shared_shapes
+        if values.keys() != names.keys():
             raise PartitionError(
-                f"node {self.node_id}: shared name sets differ on broadcast"
-            )
+                f"node {self.node_id}: broadcast shared names differ from the model's: "
+                f"missing {sorted(names.keys() - values.keys())}, "
+                f"unexpected {sorted(values.keys() - names.keys())}")
         np.concatenate(
-            [np.ravel(values[name]) for name in shared],
+            [np.ravel(values[name]) for name in names],
             out=self.model.values[: self.model.n_shared],
         )
 

@@ -10,7 +10,7 @@ log CSV (which carries the only wall-clock fields).
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
 from typing import get_args
 
@@ -243,7 +243,9 @@ def evaluate(node: FederatedNode, view: NodeDataView | None = None,
 
 def persistence_baseline(view: NodeDataView) -> Metrics:
     """Repeat the last observed target value across the horizon."""
-    return _score(view, lambda x, Z: np.repeat(x[:, -1:], view.cfg.S, axis=1),
+    # the forecast reads no auxiliary, so its view gathers none
+    targets = replace(view, cfg=replace(view.cfg, var_ids=[]))
+    return _score(targets, lambda x, Z: np.repeat(x[:, -1:], view.cfg.S, axis=1),
                   len(view.starts))
 
 

@@ -81,21 +81,6 @@ def named_views(flat: np.ndarray, shapes: dict) -> dict:
     return views
 
 
-def pack(params: dict) -> tuple:
-    """Move parameters into one value vector and one gradient vector.
-
-    Returns (values, grads); afterwards every parameter's `data` and
-    `grad` are views of its segment, in dict order.
-    """
-    shapes = {name: p.shape for name, p in params.items()}
-    values = np.concatenate([p.data.ravel() for p in params.values()])
-    grads = np.zeros(values.size)
-    data, grad = named_views(values, shapes), named_views(grads, shapes)
-    for name, p in params.items():
-        p.data, p.grad = data[name], grad[name]
-    return values, grads
-
-
 @dataclass(frozen=True)
 class ModelDims:
     """Network-wide dimensions; identical on every node of a federation."""
@@ -144,16 +129,15 @@ def patch_split(x, PL: int) -> Tensor:
     return ad.reshape(x, x.shape[:-1] + (T // PL, PL))
 
 
-def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+_UNBOUND = np.empty(0)  # a parameter's data until `PiXTime.__init__` binds its view
 
 
 class PiXTime:
     """One node's model instance: parameters plus the forward operations.
 
     `values` and `grads` hold every parameter; the first `n_shared`
-    scalars are the shared segment, in `partition` order.
+    scalars are the shared segment, laid out as `shared_shapes` (name ->
+    shape, in `partition` order).
     """
 
     def __init__(self, dims: ModelDims, node: NodeShapeConfig, seed: int = 0,
@@ -167,68 +151,92 @@ class PiXTime:
         self.node = node
         self.use_ve = use_ve
         self.params: dict[str, Parameter] = {}
-        self._build(np.random.default_rng(seed))
-        shared, local = partition(self.params)
-        self.params = {**shared, **local}
-        self.n_shared = sum(p.size for p in shared.values())
-        self.values, self.grads = pack(self.params)
+        self._draws = []  # (name, shape, init) in RNG order; name None drops the draw
+        self._build()
+        shapes = {name: shape for name, shape, _ in self._draws if name is not None}
+        self.shared_shapes, local = partition(shapes)
+        layout = {**self.shared_shapes, **local}
+        self.n_shared = sum(math.prod(shape) for shape in self.shared_shapes.values())
+        self.values = np.zeros(sum(math.prod(shape) for shape in layout.values()))
+        self.grads = np.zeros(self.values.size)
+        data, grad = named_views(self.values, layout), named_views(self.grads, layout)
+        self.params = {name: self.params[name] for name in layout}
+        for name, p in self.params.items():
+            p.data, p.grad = data[name], grad[name]
+        # each draw consumes what numpy's own call would and yields its bits
+        rng = np.random.default_rng(seed)
+        for name, shape, init in self._draws:
+            if name is None:
+                rng.random(shape)
+            elif init == "xavier":  # rng.uniform(-limit, limit) is low + (high - low) * u
+                limit = np.sqrt(6.0 / sum(shape))
+                rng.random(out=data[name])
+                data[name] *= 2.0 * limit
+                data[name] -= limit
+            elif init == "normal":  # rng.normal(0.0, 0.02) is loc + scale * z
+                rng.standard_normal(out=data[name])
+                data[name] *= 0.02
+                data[name] += 0.0
+            elif init == "ones":
+                data[name].fill(1.0)
+        del self._draws
 
     # -- construction -----------------------------------------------------
 
-    def _param(self, name: str, value: np.ndarray) -> Parameter:
-        p = Parameter(name, value)
+    def _param(self, name: str, shape: tuple, init: str = "zeros") -> Parameter:
+        """Declare a parameter; `__init__` binds its views and draws it in declaration order."""
+        p = Parameter(name, _UNBOUND)
         self.params[name] = p
+        self._draws.append((name, shape, init))
         return p
 
-    def _attention(self, prefix: str, rng) -> AttentionWeights:
+    def _attention(self, prefix: str) -> AttentionWeights:
         D = self.dims.D
         kw = {}
         for key in ("q", "k", "v", "o"):
-            kw[f"w_{key}"] = self._param(f"{prefix}.w_{key}", _xavier(rng, D, D))
+            kw[f"w_{key}"] = self._param(f"{prefix}.w_{key}", (D, D), "xavier")
             if key != "k":  # key bias is a softmax no-op, see AttentionWeights
-                kw[f"b_{key}"] = self._param(f"{prefix}.b_{key}", np.zeros(D))
+                kw[f"b_{key}"] = self._param(f"{prefix}.b_{key}", (D,))
         return AttentionWeights(**kw)
 
-    def _ffn(self, prefix: str, rng) -> FeedForwardWeights:
+    def _ffn(self, prefix: str) -> FeedForwardWeights:
         D, d_ff = self.dims.D, self.dims.d_ff
         return FeedForwardWeights(
-            w1=self._param(f"{prefix}.w1", _xavier(rng, D, d_ff)),
-            b1=self._param(f"{prefix}.b1", np.zeros(d_ff)),
-            w2=self._param(f"{prefix}.w2", _xavier(rng, d_ff, D)),
-            b2=self._param(f"{prefix}.b2", np.zeros(D)),
+            w1=self._param(f"{prefix}.w1", (D, d_ff), "xavier"),
+            b1=self._param(f"{prefix}.b1", (d_ff,)),
+            w2=self._param(f"{prefix}.w2", (d_ff, D), "xavier"),
+            b2=self._param(f"{prefix}.b2", (D,)),
         )
 
     def _layer_norm(self, prefix: str) -> LayerNormWeights:
         D = self.dims.D
         return LayerNormWeights(
-            gain=self._param(f"{prefix}.gain", np.ones(D)),
-            bias=self._param(f"{prefix}.bias", np.zeros(D)),
+            gain=self._param(f"{prefix}.gain", (D,), "ones"),
+            bias=self._param(f"{prefix}.bias", (D,)),
         )
 
-    def _build(self, rng: np.random.Generator) -> None:
+    def _build(self) -> None:
         dims, node = self.dims, self.node
         D = dims.D
 
-        self.patch_w = self._param("patch_linear.weight", _xavier(rng, node.PL, D))
-        self.patch_b = self._param("patch_linear.bias", np.zeros(D))
-        self.abstract_token = self._param(
-            "abstract_token", rng.normal(0.0, 0.02, size=D)
-        )
-        self.ve_w = self._param("ve_linear.weight", _xavier(rng, node.T, D))
-        self.ve_b = self._param("ve_linear.bias", np.zeros(D))
+        self.patch_w = self._param("patch_linear.weight", (node.PL, D), "xavier")
+        self.patch_b = self._param("patch_linear.bias", (D,))
+        self.abstract_token = self._param("abstract_token", (D,), "normal")
+        self.ve_w = self._param("ve_linear.weight", (node.T, D), "xavier")
+        self.ve_b = self._param("ve_linear.bias", (D,))
         if self.use_ve:
             # zero init keeps the with-table and without-table models identical
             # at step 0, so the ablation isolates what training adds
-            self.ve_table = self._param("ve_table", np.zeros((dims.n_all, D)))
+            self.ve_table = self._param("ve_table", (dims.n_all, D))
 
         self.encoder_layers = []
         for layer in range(dims.L):
             prefix = f"aux_encoder.layer{layer}"
             self.encoder_layers.append(
                 {
-                    "self_att": self._attention(f"{prefix}.self_att", rng),
+                    "self_att": self._attention(f"{prefix}.self_att"),
                     "ln1": self._layer_norm(f"{prefix}.ln1"),
-                    "ffn": self._ffn(f"{prefix}.ffn", rng),
+                    "ffn": self._ffn(f"{prefix}.ffn"),
                     "ln2": self._layer_norm(f"{prefix}.ln2"),
                 }
             )
@@ -237,29 +245,26 @@ class PiXTime:
         for layer in range(dims.L):
             prefix = f"target_decoder.layer{layer}"
             lp = {
-                "self_att": self._attention(f"{prefix}.self_att", rng),
+                "self_att": self._attention(f"{prefix}.self_att"),
                 "ln1": self._layer_norm(f"{prefix}.ln1"),
             }
             if layer < dims.L - 1:
-                lp["cross_att"] = self._attention(f"{prefix}.cross_att", rng)
+                lp["cross_att"] = self._attention(f"{prefix}.cross_att")
                 lp["ln2"] = self._layer_norm(f"{prefix}.ln2")
             else:
                 # the last layer has no cross-attention; discarding its 4 weight
                 # draws keeps every later initial value where it always was
-                rng.random((4, D, D))
-            lp["ffn"] = self._ffn(f"{prefix}.ffn", rng)
+                self._draws.append((None, (4, D, D), "discard"))
+            lp["ffn"] = self._ffn(f"{prefix}.ffn")
             lp["ln3"] = self._layer_norm(f"{prefix}.ln3")
             self.decoder_layers.append(lp)
 
-        self.proj_w = self._param(
-            "projection.weight", _xavier(rng, node.M * D, node.S)
-        )
-        self.proj_b = self._param("projection.bias", np.zeros(node.S))
+        self.proj_w = self._param("projection.weight", (node.M * D, node.S), "xavier")
+        self.proj_b = self._param("projection.bias", (node.S,))
 
     def shared_views(self, flat: np.ndarray) -> dict:
         """Name -> view of `flat`, a vector laid out like the shared segment."""
-        shared, _ = partition(self.params)
-        return named_views(flat, {name: p.shape for name, p in shared.items()})
+        return named_views(flat, self.shared_shapes)
 
     def shared_values(self) -> dict:
         """A copy of the shared segment, as named views of that copy."""

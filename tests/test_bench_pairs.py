@@ -112,17 +112,20 @@ def test_a_figure_one_side_never_reported_has_no_median():
 
 
 def test_the_reference_line_puts_both_sides_uncorrected_rate_beside_their_slowdown():
-    def run(rate, slowdown, uncorrected):
+    def run(rate, slowdown, uncorrected, setup):
         return _run(rate, 80.0, reported={"slowdown": slowdown,
-                                          "uncorrected.windows_per_s": uncorrected})
+                                          "uncorrected.windows_per_s": uncorrected,
+                                          "uncorrected.setup_s": setup})
 
-    pairs = [{"parent": run(100.0, a, c), "change": run(110.0, b, d)}
-             for a, b, c, d in [(1.0, 1.3, 4000.0, 4400.0), (1.2, 1.1, 4100.0, 4300.0),
-                                (1.1, 1.2, 4200.0, 4500.0)]]
+    pairs = [{"parent": run(100.0, a, c, e), "change": run(110.0, b, d, f)}
+             for a, b, c, d, e, f in [(1.0, 1.3, 4000.0, 4400.0, 0.006, 0.005),
+                                      (1.2, 1.1, 4100.0, 4300.0, 0.007, 0.004),
+                                      (1.1, 1.2, 4200.0, 4500.0, 0.008, 0.006)]]
     figures = bench_pairs.summarize(pairs, BETTER, BOUNDS)["reported"]
     assert bench_pairs.reference_line("fed2-train", figures) == (
         "fed2-train         median slowdown: parent 1.1  change 1.2  "
-        "median uncorrected.windows_per_s: parent 4100  change 4400")
+        "median uncorrected.windows_per_s: parent 4100  change 4400  "
+        "median uncorrected.setup_s: parent 0.007  change 0.005")
 
 
 def test_the_reference_line_leaves_out_a_figure_one_side_lacks():

@@ -1,5 +1,7 @@
 """Parameter decoupling, delta aggregation, server updates, round loop."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from pixtime import (
     run_federation,
     server_step,
 )
+from pixtime import federation
 from pixtime.data import SplitSpec, build_node_views, gather_batch
 from pixtime.errors import AggregationError, PartitionError
 from pixtime.federation import ServerAdam, ServerSGD
@@ -513,3 +516,46 @@ def test_replay_determinism():
         assert a.node_shared_digests == b.node_shared_digests
     for name in shared1:
         assert np.array_equal(shared1[name], shared2[name])
+
+
+# ---------------------------------------------------------------------------
+# recorded shared layout
+# ---------------------------------------------------------------------------
+
+def test_recorded_shared_layout_is_partitions_and_shared_views_read_each_segment(monkeypatch):
+    built = []
+
+    class RecordedPiXTime(PiXTime):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(federation, "PiXTime", RecordedPiXTime)
+    make_node(var_ids=(1, 3))
+    init_global_shared(DIMS, seed=0)
+    assert [m.node.node_id for m in built] == [0, -1]  # the node's model, then the reference
+    for model in built:
+        shared, _ = partition(model.params)
+        assert list(model.shared_shapes.items()) == [(n, p.shape) for n, p in shared.items()]
+        assert model.n_shared == sum(p.size for p in shared.values())
+        positions = np.arange(model.n_shared, dtype=np.float64)
+        views = model.shared_views(model.values[: model.n_shared] * 3.0 + positions)
+        assert list(views) == list(shared)
+        offset = 0
+        for name, p in shared.items():
+            own = positions[offset : offset + p.size].reshape(p.shape)
+            assert np.array_equal(views[name], p.data * 3.0 + own), name
+            offset += p.size
+
+
+def test_load_shared_names_the_missing_and_the_unexpected_names():
+    node = make_node()
+    values = node.shared_values()
+    del values["target_decoder.layer1.ffn.w2"]
+    values["pos_embed"] = np.zeros(3)
+    before = node.model.values.copy()
+    message = ("node 0: broadcast shared names differ from the model's: "
+               "missing ['target_decoder.layer1.ffn.w2'], unexpected ['pos_embed']")
+    with pytest.raises(PartitionError, match=f"^{re.escape(message)}$"):
+        node.load_shared(values)
+    assert np.array_equal(node.model.values, before)

@@ -301,6 +301,21 @@ def test_persistence_on_unit_ramp():
     assert m.per_step_mse == pytest.approx([1.0, 4.0], abs=1e-12)
 
 
+def test_persistence_gathers_the_target_and_no_auxiliary(monkeypatch):
+    gathered, gather_batch = [], harness.gather_batch
+
+    def recorded_gather_batch(view, starts):
+        batch = gather_batch(view, starts)
+        gathered.append(tuple(a.shape for a in batch))
+        return batch
+
+    monkeypatch.setattr(harness, "gather_batch", recorded_gather_batch)
+    view = _constant_view(np.arange(12.0))
+    assert persistence_baseline(view).per_step_mse == pytest.approx([1.0, 4.0], abs=1e-12)
+    assert gathered == [((7, 4), (7, 4, 0), (7, 2))]
+    assert view.cfg.var_ids == [0]
+
+
 def test_persistence_matches_loop_oracle():
     rng = np.random.default_rng(0)
     view = _constant_view(rng.standard_normal(40))

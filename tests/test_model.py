@@ -723,3 +723,70 @@ def test_shared_values_do_not_alias_model_state():
         assert not np.shares_memory(v, model.values)
         v += 1.0
     assert np.array_equal(model.values, before)
+
+
+def _replayed_values(dims, cfg, seed, use_ve):
+    """The initial values drawn one numpy call per parameter, in build order, laid out shared-first."""
+    rng = np.random.default_rng(seed)
+    D, d_ff = dims.D, dims.d_ff
+    drawn = {}
+
+    def xavier(name, fan_in, fan_out):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        drawn[name] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+    def attention(prefix):
+        for key in "qkvo":
+            xavier(f"{prefix}.w_{key}", D, D)
+            if key != "k":
+                drawn[f"{prefix}.b_{key}"] = np.zeros(D)
+
+    def layer_norm(prefix):
+        drawn[f"{prefix}.gain"], drawn[f"{prefix}.bias"] = np.ones(D), np.zeros(D)
+
+    def ffn(prefix):
+        xavier(f"{prefix}.w1", D, d_ff)
+        drawn[f"{prefix}.b1"] = np.zeros(d_ff)
+        xavier(f"{prefix}.w2", d_ff, D)
+        drawn[f"{prefix}.b2"] = np.zeros(D)
+
+    xavier("patch_linear.weight", cfg.PL, D)
+    drawn["patch_linear.bias"] = np.zeros(D)
+    drawn["abstract_token"] = rng.normal(0.0, 0.02, size=D)
+    xavier("ve_linear.weight", cfg.T, D)
+    drawn["ve_linear.bias"] = np.zeros(D)
+    if use_ve:
+        drawn["ve_table"] = np.zeros((dims.n_all, D))
+    for layer in range(dims.L):
+        prefix = f"aux_encoder.layer{layer}"
+        attention(f"{prefix}.self_att")
+        layer_norm(f"{prefix}.ln1")
+        ffn(f"{prefix}.ffn")
+        layer_norm(f"{prefix}.ln2")
+    for layer in range(dims.L):
+        prefix = f"target_decoder.layer{layer}"
+        attention(f"{prefix}.self_att")
+        layer_norm(f"{prefix}.ln1")
+        if layer < dims.L - 1:
+            attention(f"{prefix}.cross_att")
+            layer_norm(f"{prefix}.ln2")
+        else:
+            rng.random((4, D, D))  # the last layer's cross-attention weights, dropped
+        ffn(f"{prefix}.ffn")
+        layer_norm(f"{prefix}.ln3")
+    xavier("projection.weight", cfg.M * D, cfg.S)
+    drawn["projection.bias"] = np.zeros(cfg.S)
+    shared, local = partition(drawn)
+    return list(shared) + list(local), np.concatenate([v.ravel() for v in {**shared, **local}.values()])
+
+
+@pytest.mark.parametrize("use_ve", [True, False])
+@pytest.mark.parametrize("L", [1, 2])
+def test_initial_values_equal_one_draw_per_parameter_in_build_order(L, use_ve):
+    dims = ModelDims(D=8, L=L, H=2, d_ff=16, n_all=5)
+    cfg = NodeShapeConfig(node_id=0, T=12, S=4, PL=4, var_ids=[1, 2], target_id=0)
+    model = PiXTime(dims, cfg, seed=31, use_ve=use_ve)
+    names, expected = _replayed_values(dims, cfg, 31, use_ve)
+    assert list(model.params) == names
+    assert model.values.tobytes() == expected.tobytes()
+    assert not model.grads.any() and model.grads.size == model.values.size

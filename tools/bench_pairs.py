@@ -34,8 +34,8 @@ slowdown it measures with an in-process reference kernel, so a change that
 moves that kernel's own cost (its page faults depend on the program's
 allocations) moves every corrected rate. So each workload's printed summary
 puts both sides' median slowdown beside their median
-`uncorrected.windows_per_s`: a corrected move that the uncorrected rates do
-not share came from the reference kernel.
+`uncorrected.windows_per_s` and `uncorrected.setup_s`: a corrected move that
+the uncorrected figures do not share came from the reference kernel.
 
 The output file is rewritten after every pair, so a run that stops early
 (say, a run that prints no result line) keeps the pairs it finished; the
@@ -171,10 +171,10 @@ def summarize(pairs: list, better: dict, bounds: dict) -> dict:
 
 
 def reference_line(workload: str, figures: dict) -> str | None:
-    """Both sides' median slowdown and median uncorrected windows_per_s, each when
-    both sides reported it, from a summary's `reported` medians; None if neither."""
+    """Both sides' median slowdown, uncorrected windows_per_s and uncorrected setup_s,
+    each when both sides reported it, from a summary's `reported` medians; None if none."""
     parts = []
-    for name in ("slowdown", "uncorrected.windows_per_s"):
+    for name in ("slowdown", "uncorrected.windows_per_s", "uncorrected.setup_s"):
         medians = figures.get(name)
         if medians and None not in medians.values():
             parts.append(f"median {name}: parent {medians['parent']:.6g}  "

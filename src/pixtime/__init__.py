@@ -35,11 +35,8 @@ from .data import (
     RawDataset,
     SplitSpec,
     assign_variable_subsets,
-    downsample,
     generate_synthetic,
     load_csv,
-    make_windows,
-    partition_windows,
     standardize,
     write_csv,
 )
@@ -60,5 +57,5 @@ from .harness import (
     persistence_baseline,
     run_experiment,
 )
-from .model import ModelDims, NodeShapeConfig, PiXTime, partition, patch_split
+from .model import ModelDims, NodeShapeConfig, PiXTime, partition
 from .optim import Adam, grad_check

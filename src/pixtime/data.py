@@ -121,33 +121,6 @@ def standardize(data: RawDataset, split: SplitSpec) -> tuple:
     return RawDataset(column_names=list(data.column_names), values=standardized), means, stds
 
 
-def downsample(values: np.ndarray, k: int) -> np.ndarray:
-    """Coarsen the time axis by factor k (rows 0, k, 2k, ...)."""
-    if k < 1:
-        raise ConfigError(f"downsample stride must be >= 1, got {k}")
-    return values[::k]
-
-
-def make_windows(n: int, T: int, S: int) -> np.ndarray:
-    """Valid window start indices in a series of n rows, for look-back T and horizon S.
-
-    The sample at start t covers input rows [t, t+T) and target rows
-    [t+T, t+T+S).
-    """
-    if n < T + S:
-        raise DataError(
-            f"series of length {n} too short for look-back {T} + horizon {S}"
-        )
-    return np.arange(n - T - S + 1)
-
-
-def partition_windows(n_windows: int, n_nodes: int, node_id: int) -> np.ndarray:
-    """Strided ownership: node i owns {i, i + n_nodes, i + 2 n_nodes, ...}."""
-    if not 0 <= node_id < n_nodes:
-        raise ConfigError(f"node_id {node_id} outside [0, {n_nodes})")
-    return np.arange(node_id, n_windows, n_nodes)
-
-
 def assign_variable_subsets(
     all_var_ids, target_id: int, n_nodes: int, subset_size: int, seed: int
 ) -> list:
@@ -245,25 +218,26 @@ def build_node_views(standardized: np.ndarray, cfg: NodeShapeConfig, split: Spli
     """Construct train/val/test views for one node.
 
     The node sees the full standardized matrix at its own granularity
-    (every `cfg.stride`-th row). Training and validation windows are
-    owned by strided partitioning among the `partition_count` nodes that
-    share this granularity (rank `partition_rank`); every node evaluates
-    the full test split.
+    (every `cfg.stride`-th row, as a view). The window at start t reads
+    input rows [t, t + T) and target rows [t + T, t + T + S) of one split.
+    Training and validation windows are owned by strided partitioning
+    among the `partition_count` nodes that share this granularity: rank r
+    owns the split's windows r, r + count, r + 2 count, ...; every node
+    evaluates the full test split.
     """
-    series = downsample(standardized, cfg.stride)
+    series = standardized[:: cfg.stride]
     n = series.shape[0]
     train_end, val_end = split.boundaries(n)
+    if train_end < cfg.T + cfg.S:  # val and test may be too short for any window
+        raise DataError(f"series of length {train_end} too short for look-back {cfg.T} "
+                        f"+ horizon {cfg.S}")
 
     views = {}
     for name, lo, hi in (("train", 0, train_end), ("val", train_end, val_end),
                          ("test", val_end, n)):
-        # a train split too short for one window is an error; val and test may be empty
-        if name == "train" or hi - lo >= cfg.T + cfg.S:
-            starts = make_windows(hi - lo, cfg.T, cfg.S) + lo
-        else:
-            starts = np.array([], dtype=np.intp)
+        starts = np.arange(lo, lo + max(hi - lo - cfg.T - cfg.S + 1, 0))
         if name != "test":
-            starts = starts[partition_windows(len(starts), partition_count, partition_rank)]
+            starts = starts[partition_rank::partition_count]
         views[name] = NodeDataView(series, starts, name, cfg)
     return views
 

@@ -115,11 +115,14 @@ class ExperimentConfig:
             )
         if net.T % net.PL != 0:
             raise ConfigError(f"network.T={net.T} is not a multiple of network.PL={net.PL}")
-        for i, k in enumerate(net.strides):
+        strides = {f"network.strides[{i}]": k for i, k in enumerate(net.strides)}
+        if self.mode == "ablate-granularity":  # its mix and coarse runs use this stride
+            strides["ablation_stride"] = self.ablation_stride
+        for name, k in strides.items():
             for label, base in (("T", net.T), ("S", net.S), ("PL", net.PL)):
                 if base % k != 0:
                     raise ConfigError(
-                        f"network.strides[{i}]={k} does not divide network.{label}={base}; "
+                        f"{name}={k} does not divide network.{label}={base}; "
                         "granularity pairing needs integral window lengths"
                     )
         if ds.csv is None and ds.synthetic is not None:
@@ -128,7 +131,11 @@ class ExperimentConfig:
             self.check_width(n_vars, f"dataset.synthetic.n_vars={n_vars}")
 
     def check_width(self, n_vars: int, width: str) -> None:
-        """Reject a target id or subset size that `n_vars` columns (named `width`) cannot hold."""
+        """Reject `n_vars` columns (named `width`) with no auxiliary, or too few to hold
+        the target id or a subset size."""
+        least = SYNTHETIC_MINIMA["n_vars"]
+        if n_vars < least:
+            raise ConfigError(f"{width} hold no auxiliary: a dataset needs >= {least} columns")
         net = self.network
         widths = [("network.target_id", net.target_id),
                   ("network.subset_size", net.subset_size)]

@@ -116,19 +116,6 @@ class NodeShapeConfig:
         return self.T // self.PL
 
 
-def patch_split(x, PL: int) -> Tensor:
-    """Split the last axis into non-overlapping patches of length PL.
-
-    (..., T) -> (..., T // PL, PL); concatenating the patches back along
-    time reconstructs the input exactly. No learnable parameters.
-    """
-    x = as_tensor(x)
-    T = x.shape[-1]
-    if PL < 1 or T % PL != 0:
-        raise ShapeError(f"cannot split series of length {T} into patches of length {PL}")
-    return ad.reshape(x, x.shape[:-1] + (T // PL, PL))
-
-
 _UNBOUND = np.empty(0)  # a parameter's data until `PiXTime.__init__` binds its view
 
 
@@ -147,6 +134,9 @@ class PiXTime:
                 raise CategoryError(
                     f"variable category {v} outside table of size {dims.n_all}"
                 )
+        if node.T % node.PL != 0:
+            raise ShapeError(f"look-back T={node.T} is not a multiple of patch length "
+                             f"PL={node.PL}")
         self.dims = dims
         self.node = node
         self.use_ve = use_ve
@@ -275,15 +265,15 @@ class PiXTime:
     def patch_embed(self, x) -> Tensor:
         """(..., T) target series -> (..., M + 1, D) tokens.
 
-        Row 0 is the abstract token verbatim; rows 1..M are the shared
-        patch projection applied to each patch.
+        Row 0 is the abstract token verbatim; rows 1..M project the series'
+        M consecutive patches of length PL.
         """
         x = as_tensor(x)
         if x.shape[-1] != self.node.T:
             raise ShapeError(
                 f"expected look-back {self.node.T}, got series of length {x.shape[-1]}"
             )
-        patches = patch_split(x, self.node.PL)
+        patches = ad.reshape(x, x.shape[:-1] + (self.node.M, self.node.PL))
         tokens = ad.linear(patches, self.patch_w, self.patch_b)
         head = ad.broadcast_to(self.abstract_token, tokens.shape[:-2] + (1, self.dims.D))
         return ad.concat([head, tokens], axis=-2)

@@ -416,26 +416,10 @@ def test_forward_determinism_bit_identical():
 # per-op gradients against central finite differences
 # ---------------------------------------------------------------------------
 
-def _fd_check(build_loss, param, h=1e-5, tol=1e-4):
-    """Central finite differences on every coordinate of `param`."""
-    param.zero_grad()
-    backward(build_loss())
-    analytic = param.grad.copy()
-    flat = param.data.reshape(-1)
-    fd = np.zeros_like(flat)
-    with no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = build_loss().item()
-            flat[i] = orig - h
-            down = build_loss().item()
-            flat[i] = orig
-            fd[i] = (up - down) / (2 * h)
-    rel = np.abs(analytic.reshape(-1) - fd) / np.maximum(
-        np.maximum(np.abs(analytic.reshape(-1)), np.abs(fd)), 1e-8
-    )
-    assert rel.max() < tol, f"max rel err {rel.max():.2e}"
+def _fd_check(build_loss, param):
+    """Central finite differences on every coordinate of `param` (`optim.grad_check`)."""
+    report = grad_check(build_loss, {param.name: param})
+    assert report.max_rel_error < 1e-4, report
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -7,11 +7,8 @@ from pixtime import (
     RawDataset,
     SplitSpec,
     assign_variable_subsets,
-    downsample,
     generate_synthetic,
     load_csv,
-    make_windows,
-    partition_windows,
     standardize,
     write_csv,
 )
@@ -129,75 +126,99 @@ def test_split_fractions_must_sum_to_one():
 
 
 # ---------------------------------------------------------------------------
-# downsample
+# build_node_views: downsampling, window enumeration and window ownership
 # ---------------------------------------------------------------------------
 
+ALL_TRAIN = SplitSpec(1.0, 0.0, 0.0)
+
+
+def _train_view(values, T=1, S=1, stride=1, count=1, rank=0):
+    """The train view of a node at `stride` whose split holds every row."""
+    cfg = NodeShapeConfig(node_id=rank, T=T, S=S, PL=1, var_ids=[], target_id=0,
+                          stride=stride)
+    return build_node_views(values, cfg, ALL_TRAIN, count, rank)["train"]
+
+
 def test_downsample_stride_example():
-    out = downsample(np.arange(8.0).reshape(-1, 1), 4)
+    out = _train_view(np.arange(8.0).reshape(-1, 1), stride=4).series
     assert out.ravel().tolist() == [0.0, 4.0]
 
 
 def test_downsample_identity():
     x = np.arange(10.0).reshape(-1, 1)
-    assert np.array_equal(downsample(x, 1), x)
+    series = _train_view(x).series
+    assert np.array_equal(series, x) and np.shares_memory(series, x)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_downsample_length_matches_counting_oracle(seed):
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 200))
     k = int(rng.integers(1, 12))
+    n = int(rng.integers(k + 1, 200))  # at least two rows at stride k
     x = rng.standard_normal((n, 2))
-    expected = len([i for i in range(n) if i % k == 0])
-    assert downsample(x, k).shape[0] == expected
+    series = _train_view(x, stride=k).series
+    # every stride-th row, read as a view of the standardized matrix
+    assert np.array_equal(series, np.array([x[i] for i in range(n) if i % k == 0]))
+    assert np.shares_memory(series, x)
 
 
 def test_downsample_composes():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((240, 3))
     a, b = 3, 4
-    assert np.array_equal(downsample(x, a * b), downsample(downsample(x, a), b))
+    coarse = _train_view(_train_view(x, stride=a).series, stride=b).series
+    assert np.array_equal(_train_view(x, stride=a * b).series, coarse)
 
-
-def test_downsample_rejects_bad_stride():
-    with pytest.raises(ConfigError):
-        downsample(np.zeros((4, 1)), 0)
-
-
-# ---------------------------------------------------------------------------
-# make_windows / partition_windows
-# ---------------------------------------------------------------------------
 
 def test_make_windows_count():
-    assert len(make_windows(10, 4, 2)) == 5
+    assert len(_train_view(np.zeros((10, 1)), T=4, S=2).starts) == 5
 
 
 def test_make_windows_boundary_single():
-    starts = make_windows(6, 4, 2)
-    assert starts.tolist() == [0]
+    assert _train_view(np.zeros((6, 1)), T=4, S=2).starts.tolist() == [0]
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_make_windows_matches_scan_oracle(seed):
+    """Each split's starts are the scan of its rows for whole windows, dealt
+    round-robin to the ranks (all of the test split to every rank)."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(10, 100))
-    T = int(rng.integers(1, 6))
-    S = int(rng.integers(1, 5))
-    valid = [t for t in range(n) if t + T + S <= n]
-    assert make_windows(n, T, S).tolist() == valid
+    n = int(rng.integers(60, 200))
+    T, S, stride = int(rng.integers(1, 6)), int(rng.integers(1, 5)), int(rng.integers(1, 3))
+    train = float(rng.uniform(0.5, 0.8))
+    val = float(rng.uniform(0.05, 0.25))
+    split = SplitSpec(train, val, 1.0 - train - val)
+    count = int(rng.integers(1, 4))
+    rows = len(range(0, n, stride))
+    train_end, val_end = split.boundaries(rows)
+    bounds = {"train": (0, train_end), "val": (train_end, val_end), "test": (val_end, rows)}
+    for rank in range(count):
+        cfg = NodeShapeConfig(node_id=rank, T=T, S=S, PL=1, var_ids=[], target_id=0,
+                              stride=stride)
+        views = build_node_views(np.zeros((n, 1)), cfg, split, count, rank)
+        for name, (lo, hi) in bounds.items():
+            valid = [t for t in range(lo, hi) if t + T + S <= hi]
+            owned = valid if name == "test" else [
+                t for i, t in enumerate(valid) if i % count == rank]
+            assert views[name].starts.tolist() == owned, (name, rank)
+            assert views[name].starts.dtype == np.intp
 
 
 def test_make_windows_too_short():
-    with pytest.raises(DataError, match="5.*look-back 4.*horizon 2"):
-        make_windows(5, 4, 2)
+    # 10 rows at train 0.5 leave 5 train rows against T + S = 6
+    with pytest.raises(DataError, match=r"^series of length 5 too short for look-back 4 "
+                                        r"\+ horizon 2$"):
+        build_node_views(np.zeros((10, 1)),
+                         NodeShapeConfig(node_id=0, T=4, S=2, PL=1, var_ids=[], target_id=0),
+                         SplitSpec(0.5, 0.25, 0.25))
 
 
 def test_partition_windows_example():
-    assert partition_windows(10, 4, 1).tolist() == [1, 5, 9]
+    assert _train_view(np.zeros((11, 1)), count=4, rank=1).starts.tolist() == [1, 5, 9]
 
 
 def test_partition_windows_single_node_identity():
-    assert partition_windows(7, 1, 0).tolist() == list(range(7))
+    assert _train_view(np.zeros((8, 1))).starts.tolist() == list(range(7))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -205,7 +226,9 @@ def test_partition_windows_set_algebra(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 200))
     nodes = int(rng.integers(1, 9))
-    owned = [set(partition_windows(n, nodes, i).tolist()) for i in range(nodes)]
+    # n windows of one row each (T = S = 1) in n + 1 rows
+    owned = [set(_train_view(np.zeros((n + 1, 1)), count=nodes, rank=i).starts.tolist())
+             for i in range(nodes)]
     union = set()
     for s in owned:
         assert union.isdisjoint(s)

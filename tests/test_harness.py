@@ -491,14 +491,6 @@ def test_evaluate_mode_is_a_zero_round_federated_run(tmp_path):
     assert metrics[0] == metrics[1]
 
 
-def test_gradcheck_mode_reports_small_error(tmp_path):
-    result = run_experiment(small_config(tmp_path, mode="gradcheck"))
-    block = result.metrics["gradcheck"]
-    assert block["pass"] is True
-    for wf in ("m2u", "m2m", "u2u"):
-        assert block[wf]["max_rel_error"] < 1e-4
-
-
 def test_config_echo_round_trips(tmp_path):
     config = small_config(tmp_path)
     result = run_experiment(config)
@@ -819,9 +811,37 @@ def test_cli_a_test_split_without_a_window_exits_2_before_training(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_gradcheck_needs_no_config(tmp_path):
-    assert cli_main(["gradcheck", "--out", str(tmp_path)]) == 0
-    assert json.loads((tmp_path / "metrics.json").read_text())["gradcheck"]["pass"]
+@pytest.mark.parametrize("command", ["train-fed", "train-central", "evaluate",
+                                     "ablate-granularity", "ablate-ve"])
+def test_cli_a_csv_of_the_target_alone_exits_2_naming_it_before_any_model(tmp_path, capsys,
+                                                                          monkeypatch, command):
+    def build_nodes(*args):
+        pytest.fail("nodes were built for a dataset with no auxiliary")
+
+    monkeypatch.setattr(harness, "build_nodes", build_nodes)
+    csv_path = tmp_path / "data.csv"
+    values = np.random.default_rng(0).standard_normal(1000)
+    csv_path.write_text("target\n" + "\n".join(repr(float(v)) for v in values) + "\n")
+    path = _write_config(tmp_path, n_seeds=1, dataset={"csv": str(csv_path)})
+    assert cli_main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert (f"config error: the 1 columns of dataset.csv={csv_path} hold no auxiliary: "
+            "a dataset needs >= 2 columns") in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_ablation_stride_that_does_not_divide_the_windows_is_named(tmp_path, capsys):
+    path = _write_config(tmp_path, ablation_stride=3,
+                         network={"n_nodes": 1, "strides": [1], "T": 16, "S": 4, "PL": 4})
+    assert cli_main(["ablate-granularity", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert ("config error: ablation_stride=3 does not divide network.T=16; "
+            "granularity pairing needs integral window lengths") in err
+    assert not (tmp_path / "out").exists()
+    # the other modes never read the ablation stride
+    raw = json.loads(path.read_text())
+    for mode in ("federated", "central", "evaluate", "ablate-ve"):
+        ExperimentConfig.from_dict({**raw, "mode": mode})
 
 
 def test_cli_non_finite_csv_cell_names_file_row_and_column(tmp_path, capsys):

@@ -13,7 +13,6 @@ from pixtime import (
     grad_check,
     mse,
     partition,
-    patch_split,
 )
 from pixtime import model as model_module
 from pixtime.errors import CategoryError, ConfigError, ShapeError
@@ -67,34 +66,43 @@ def np_values(model):
 
 
 # ---------------------------------------------------------------------------
-# patch_split
+# the patch split inside patch_embed
 # ---------------------------------------------------------------------------
 
+def _patches(x, PL):
+    """The patches `patch_embed` cuts `x` into: its patch tokens under an
+    identity projection, which copies each patch exactly."""
+    x = np.asarray(x, dtype=float)
+    cfg = NodeShapeConfig(node_id=0, T=x.shape[-1], S=1, PL=PL, var_ids=[1], target_id=0)
+    model = PiXTime(ModelDims(D=PL, L=1, H=1, d_ff=2, n_all=2), cfg)
+    model.patch_w.data[...] = np.eye(PL)
+    return model.patch_embed(x).data[..., 1:, :]
+
+
 def test_patch_split_example():
-    out = patch_split(Tensor([0.0, 1.0, 2.0, 3.0, 4.0, 5.0]), 2)
-    assert out.data.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+    out = _patches([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], 2)
+    assert out.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
 
 
 def test_patch_split_benchmark_shape():
-    out = patch_split(Tensor(np.arange(96.0)), 16)
-    assert out.shape == (6, 16)
+    assert _patches(np.arange(96.0), 16).shape == (6, 16)
 
 
 def test_patch_split_identity():
-    out = patch_split(Tensor([7.0]), 1)
-    assert out.data.tolist() == [[7.0]]
+    assert _patches([7.0], 1).tolist() == [[7.0]]
 
 
 def test_patch_split_roundtrip_is_exact():
     rng = np.random.default_rng(0)
-    x = rng.standard_normal(24)
-    patches = patch_split(Tensor(x), 4).data
-    assert np.array_equal(patches.reshape(-1), x)
+    x = rng.standard_normal((3, 24))
+    assert np.array_equal(_patches(x, 4).reshape(3, -1), x)
 
 
 def test_patch_split_error_names_lengths():
-    with pytest.raises(ShapeError, match="7.*3"):
-        patch_split(Tensor(np.zeros(7)), 3)
+    # the geometry is checked once, when the model is built
+    cfg = NodeShapeConfig(node_id=0, T=7, S=1, PL=3, var_ids=[1], target_id=0)
+    with pytest.raises(ShapeError, match="T=7 is not a multiple of patch length PL=3"):
+        PiXTime(ModelDims(D=4, L=1, H=1, d_ff=2, n_all=2), cfg)
 
 
 # ---------------------------------------------------------------------------

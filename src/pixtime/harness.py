@@ -92,7 +92,7 @@ class ExperimentConfig:
     out_dir: str = "runs/out"
     use_ve: bool = True
     n_seeds: int = field(default=3, metadata={"min": 1})
-    ablation_stride: int = field(default=4, metadata={"min": 1})
+    ablation_stride: int = field(default=4, metadata={"min": 2})
     subset_sizes: list = field(default_factory=list, metadata={"min": 1})
 
     @classmethod
@@ -125,6 +125,10 @@ class ExperimentConfig:
                         f"{name}={k} does not divide network.{label}={base}; "
                         "granularity pairing needs integral window lengths"
                     )
+        for j, size in enumerate(self.subset_sizes):  # each size names one sweep
+            i = self.subset_sizes.index(size)
+            if i < j:
+                raise ConfigError(f"subset_sizes[{j}]={size} repeats subset_sizes[{i}]")
         if ds.csv is None and ds.synthetic is not None:
             # a synthetic dataset's width is known before any data exists
             n_vars = ds.synthetic["n_vars"]

@@ -930,6 +930,40 @@ def test_gelu_matches_direct_formula_bit_for_bit():
     assert np.array_equal(gelu(Tensor(x)).data, x * (0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))))
 
 
+# signed zeros and subnormals, erf's branch point |x| = sqrt2 (|x / sqrt2| = 1)
+# with its neighbours, and arguments where erf has saturated to +-1
+GELU_EDGES = np.array([
+    0.0, -0.0, 1e-310, -1e-310,
+    np.sqrt(2.0), -np.sqrt(2.0),
+    np.nextafter(np.sqrt(2.0), 0.0), -np.nextafter(np.sqrt(2.0), 0.0),
+    np.nextafter(np.sqrt(2.0), 2.0), -np.nextafter(np.sqrt(2.0), 2.0),
+    8.3, -8.3, 8.4, -8.4, -40.0,
+])
+
+
+@pytest.mark.parametrize("shape", [(224, 64), (32, 6, 64), (4, 5)])
+def test_gelu_kernels_match_the_direct_formulas_bit_for_bit(shape):
+    """On mixed signs and the edge values, the sign-split forward and the
+    one-buffer VJP give the bits of the direct formulas, signed zeros included."""
+    rng = np.random.default_rng(sum(shape))
+    x = rng.standard_normal(shape) * 3
+    x.flat[:GELU_EDGES.size] = GELU_EDGES[:x.size]
+    g = rng.standard_normal(shape)
+    out, cdf = ad._gelu_fwd(x)
+    direct_cdf = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+    assert cdf.tobytes() == direct_cdf.tobytes()
+    assert out.tobytes() == (x * direct_cdf).tobytes()
+    direct_vjp = g * (cdf + x * ((1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x)))
+    assert ad._gelu_vjp(g, x, cdf).tobytes() == direct_vjp.tobytes()
+
+
+def test_scipy_erf_is_odd_bit_for_bit():
+    """The sign-split GELU forward rests on erf(-t) == -erf(t) to the last bit."""
+    t = np.random.default_rng(7).standard_normal(100_000) * 4
+    t[:GELU_EDGES.size] = GELU_EDGES / np.sqrt(2.0)
+    assert erf(-t).tobytes() == (-erf(t)).tobytes()
+
+
 # (query, memory) token shapes at D=32, H=4: m2u self-attention, m2m
 # cross-attention of a window's (B, n_var, D) abstract tokens against its
 # (B, C, D) encoded auxiliaries, and u2u
@@ -980,6 +1014,10 @@ KERNEL_CALLS = {
     "linear_vjp": (lambda g, x2, w: ad._linear_vjp(g, x2, w, x2.shape),
                    [(224, 32), (224, 32), (32, 32)]),
     "gelu_fwd": (ad._gelu_fwd, [(32, 7, 64)]),
+    # the inputs are positive; shifted in place, they reach GELU's sign handling
+    "gelu_fwd_mixed_sign": (lambda x: ad._gelu_fwd(np.subtract(x, 1.5, out=x)), [(32, 7, 64)]),
+    "gelu_vjp": (lambda g, x, cdf: ad._gelu_vjp(g, np.subtract(x, 1.5, out=x), cdf),
+                 [(32, 7, 64)] * 3),
     "score_matmul": (lambda a, b: ad._key_leading_matmul(a, ad._transposed(b)),
                      [(32, 4, 7, 8), (32, 4, 7, 8)]),
     # the attention VJP's BLAS product of the output and value gradients

@@ -160,3 +160,47 @@ def test_every_finished_pair_is_on_disk_when_a_later_run_stops_the_tool(tmp_path
     assert pair["parent"]["metrics"] == {"windows_per_s": 101.0}
     assert pair["change"]["metrics"] == {"windows_per_s": 102.0}
     assert record["summary"] == {}
+
+
+# a stand-in for `perfbench/run.py`: for the workload "busy" it forks a child
+# that faults PAGES fresh pages and spends CPU_S of CPU, and waits for it, as
+# the benchmark waits for its forked passes
+PAGES, CPU_S = 8192, 0.3
+STUB_RUN = f'''
+import json, mmap, os, sys, time
+if sys.argv[sys.argv.index("--workload") + 1] == "busy":
+    pid = os.fork()
+    if pid == 0:
+        block = mmap.mmap(-1, {PAGES} * mmap.PAGESIZE)
+        block.madvise(mmap.MADV_NOHUGEPAGE)
+        for offset in range(0, len(block), mmap.PAGESIZE):
+            block[offset] = 1
+        while time.process_time() < {CPU_S}:
+            pass
+        os._exit(0)
+    os.waitpid(pid, 0)
+print(json.dumps({{"correct": True, "attempted": 1, "failed": 0, "metrics": {{}}}}))
+'''
+
+
+def test_a_run_counts_the_faults_and_cpu_of_the_processes_it_waited_for(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(STUB_RUN)
+    idle = bench_pairs.run_once(tmp_path, "idle", 1, 1.0, 0)["rusage"]
+    busy = bench_pairs.run_once(tmp_path, "busy", 1, 1.0, 0)["rusage"]
+    assert busy["minflt"] - idle["minflt"] >= PAGES
+    assert busy["cpu_s"] - idle["cpu_s"] >= CPU_S - 0.05
+
+
+def test_each_sides_median_faults_and_cpu_are_summarized_and_printed():
+    pairs = [{"parent": {**_run(100.0, 80.0), "rusage": {"minflt": a, "cpu_s": c}},
+              "change": {**_run(110.0, 80.0), "rusage": {"minflt": b, "cpu_s": d}}}
+             for a, b, c, d in [(900, 300, 41.0, 40.5), (1000, 200, 41.5, 40.0),
+                                (1100, 250, 42.0, 40.2)]]
+    summary = bench_pairs.summarize(pairs, BETTER, BOUNDS)
+    assert summary["rusage"] == {"minflt": {"parent": 1000, "change": 250},
+                                 "cpu_s": {"parent": 41.5, "change": 40.2}}
+    line = bench_pairs.reference_line("mixgran-infer",
+                                      {**summary["reported"], **summary["rusage"]})
+    assert line == ("mixgran-infer      median minflt: parent 1000  change 250  "
+                    "median cpu_s: parent 41.5  change 40.2")

@@ -180,7 +180,7 @@ def test_any_json_value_in_any_field_is_rejected_or_typed(path, value):
 # "Configuration" notes document it; a list field stands for its elements
 DOCUMENTED_MINIMA = {
     "D": 1, "L": 1, "H": 1, "d_ff": 1, "rounds": 0, "seed": 0, "n_seeds": 1,
-    "ablation_stride": 1, "subset_sizes[0]": 1,
+    "ablation_stride": 2, "subset_sizes[0]": 1,
     "network.n_nodes": 1, "network.strides[0]": 1, "network.subset_size": 1,
     "network.T": 1, "network.S": 1, "network.PL": 1, "network.target_id": 0,
     "optimizer.batch_size": 1, "optimizer.epochs": 1,
@@ -842,6 +842,25 @@ def test_cli_ablation_stride_that_does_not_divide_the_windows_is_named(tmp_path,
     raw = json.loads(path.read_text())
     for mode in ("federated", "central", "evaluate", "ablate-ve"):
         ExperimentConfig.from_dict({**raw, "mode": mode})
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    # at stride 1 both mix nodes and the coarse setting would be labelled "fine"
+    ("ablate-granularity", {"ablation_stride": 1}, "ablation_stride=1 must be >= 2"),
+    # a repeated size's sweep would overwrite the first one's under the same key
+    ("ablate-ve", {"subset_sizes": [2, 3, 2]}, "subset_sizes[2]=2 repeats subset_sizes[0]"),
+])
+def test_cli_an_ablation_whose_results_would_share_a_key_exits_2_before_any_io(
+    tmp_path, capsys, monkeypatch, command, overrides, message
+):
+    def no_io(config):
+        raise AssertionError("the dataset was loaded before the config was rejected")
+
+    monkeypatch.setattr("pixtime.harness.load_dataset", no_io)
+    path = _write_config(tmp_path, n_seeds=1, **overrides)
+    assert cli_main([command, "--config", str(path)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_non_finite_csv_cell_names_file_row_and_column(tmp_path, capsys):

@@ -37,6 +37,13 @@ puts both sides' median slowdown beside their median
 `uncorrected.windows_per_s` and `uncorrected.setup_s`: a corrected move that
 the uncorrected figures do not share came from the reference kernel.
 
+Every run also records what its process tree cost the host: `minflt`, the
+minor page faults, and `cpu_s`, the user plus system CPU seconds, both taken
+as `getrusage(RUSAGE_CHILDREN)` deltas around the run. The benchmark's forked
+passes are waited for, so they are counted. The same printed line holds both
+sides' medians of them, because a page-fault count explains an allocator
+effect that a rate only shows.
+
 The output file is rewritten after every pair, so a run that stops early
 (say, a run that prints no result line) keeps the pairs it finished; the
 summary is added once the last pair is done.
@@ -48,6 +55,7 @@ import argparse
 import io
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -72,11 +80,14 @@ def export(rev: str, dest: Path) -> None:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One `perfbench/run.py` run; returns its result line plus exit code and environment."""
+    """One `perfbench/run.py` run; returns its result line plus exit code, environment
+    and the minor page faults and CPU seconds of its process tree."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -93,6 +104,9 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
         "metrics": {name: entry["value"] for name, entry in result["metrics"].items()},
         "reported": reported(lines),
         "environment": environment,
+        "rusage": {"minflt": after.ru_minflt - before.ru_minflt,
+                   "cpu_s": (after.ru_utime + after.ru_stime)
+                   - (before.ru_utime + before.ru_stime)},
     }
 
 
@@ -121,20 +135,25 @@ def failure_share(runs: list) -> dict:
             "share": failed / attempted if attempted else 0.0}
 
 
-def summarize(pairs: list, better: dict, bounds: dict) -> dict:
-    """Both sides' failed/attempted operations, both sides' medians of each `report:`
-    figure and, per metric: both sides' medians and quartiles, pair wins, the gain
-    rule and, for the end-to-end metrics named in `bounds`, the regression gate's
-    flags."""
-    operations = {side: failure_share([p[side] for p in pairs]) for side in ("parent", "change")}
-    operations["more_failures"] = operations["change"]["share"] > operations["parent"]["share"]
+def side_medians(pairs: list, key: str) -> dict:
+    """Name -> each side's median of the figures its runs hold under `key`; None for a
+    side whose runs never held that name."""
     values = {}
     for p in pairs:
         for side in ("parent", "change"):
-            for name, value in p[side]["reported"].items():
+            for name, value in p[side].get(key, {}).items():
                 values.setdefault(name, {"parent": [], "change": []})[side].append(value)
-    figures = {name: {side: statistics.median(v) if v else None for side, v in sides.items()}
-               for name, sides in values.items()}
+    return {name: {side: statistics.median(v) if v else None for side, v in sides.items()}
+            for name, sides in values.items()}
+
+
+def summarize(pairs: list, better: dict, bounds: dict) -> dict:
+    """Both sides' failed/attempted operations, both sides' medians of each `report:`
+    figure and of each rusage figure and, per metric: both sides' medians and
+    quartiles, pair wins, the gain rule and, for the end-to-end metrics named in
+    `bounds`, the regression gate's flags."""
+    operations = {side: failure_share([p[side] for p in pairs]) for side in ("parent", "change")}
+    operations["more_failures"] = operations["change"]["share"] > operations["parent"]["share"]
     summary = {}
     for name, direction in better.items():
         both = [(p["parent"]["metrics"].get(name), p["change"]["metrics"].get(name))
@@ -167,14 +186,17 @@ def summarize(pairs: list, better: dict, bounds: dict) -> dict:
                 worse_beyond_bound=sign * (pm - cm) > bound * abs(pm),
                 unresolved=spread > bound and not all_better,
             )
-    return {"operations": operations, "reported": figures, "metrics": summary}
+    return {"operations": operations, "reported": side_medians(pairs, "reported"),
+            "rusage": side_medians(pairs, "rusage"), "metrics": summary}
 
 
 def reference_line(workload: str, figures: dict) -> str | None:
-    """Both sides' median slowdown, uncorrected windows_per_s and uncorrected setup_s,
-    each when both sides reported it, from a summary's `reported` medians; None if none."""
+    """Both sides' median slowdown, uncorrected windows_per_s, uncorrected setup_s,
+    minor page faults and CPU seconds, each when both sides have it, from a summary's
+    `reported` and `rusage` medians merged into `figures`; None if none."""
     parts = []
-    for name in ("slowdown", "uncorrected.windows_per_s", "uncorrected.setup_s"):
+    for name in ("slowdown", "uncorrected.windows_per_s", "uncorrected.setup_s",
+                 "minflt", "cpu_s"):
         medians = figures.get(name)
         if medians and None not in medians.values():
             parts.append(f"median {name}: parent {medians['parent']:.6g}  "
@@ -233,7 +255,7 @@ def main(argv=None) -> int:
               f"{ops['parent']['attempted']}  change {ops['change']['failed']}/"
               f"{ops['change']['attempted']}  more failures: "
               f"{'yes' if ops['more_failures'] else 'no'}")
-        line = reference_line(workload, summary["reported"])
+        line = reference_line(workload, {**summary["reported"], **summary["rusage"]})
         if line:
             print(line)
         for name, s in summary["metrics"].items():

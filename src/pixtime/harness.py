@@ -82,7 +82,7 @@ class ExperimentConfig:
     )})
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     D: int = field(default=32, metadata={"min": 1})
-    L: int = field(default=2, metadata={"min": 1})
+    L: int = field(default=2, metadata={"min": 2})
     H: int = field(default=4, metadata={"min": 1})
     d_ff: int = field(default=64, metadata={"min": 1})
     network: NetworkConfig = field(default_factory=NetworkConfig)
@@ -393,17 +393,18 @@ def _round_rows(records) -> list:
     return rows
 
 
+GRADCHECK_TOL = 1e-5  # the largest relative error `gradcheck` passes in any workflow
+
+
 def gradcheck_experiment(config: ExperimentConfig) -> dict:
-    """Finite-difference verification of the full model loss, all workflows."""
-    dims = ModelDims(D=8, L=1, H=2, d_ff=16, n_all=4)
+    """Directional finite-difference check of every workflow's loss on a fixed tiny
+    model; of the config only the seed is read, not D, L, H or d_ff."""
+    dims = ModelDims(D=8, L=2, H=2, d_ff=16, n_all=4)
     cfg = NodeShapeConfig(node_id=0, T=8, S=4, PL=4, var_ids=[1, 2], target_id=0)
     model = PiXTime(dims, cfg, seed=config.seed)
     rng = np.random.default_rng(config.seed)
-    x = rng.standard_normal(cfg.T)
-    Z = rng.standard_normal((cfg.T, cfg.C))
-    y = rng.standard_normal(cfg.S)
-    all_series = rng.standard_normal((cfg.T, 3))
-    Y_all = rng.standard_normal((3, cfg.S))
+    x, Z, y = (rng.standard_normal(shape) for shape in (cfg.T, (cfg.T, cfg.C), cfg.S))
+    all_series, Y_all = rng.standard_normal((cfg.T, 3)), rng.standard_normal((3, cfg.S))
 
     checks = {
         "m2u": lambda: mse(model.forward(x, Z), y),
@@ -411,8 +412,8 @@ def gradcheck_experiment(config: ExperimentConfig) -> dict:
         "u2u": lambda: mse(model.u2u_forward(x), y),
     }
     report = {name: asdict(grad_check(f, model.params)) for name, f in checks.items()}
-    report["tolerance"] = 1e-4
-    report["pass"] = all(v["max_rel_error"] < 1e-4 for v in (report["m2u"], report["m2m"], report["u2u"]))
+    report["tolerance"] = GRADCHECK_TOL
+    report["pass"] = all(report[name]["max_rel_error"] < GRADCHECK_TOL for name in checks)
     return report
 
 

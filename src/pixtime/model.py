@@ -17,9 +17,9 @@ gradient is a view into one value vector and one gradient vector per
 model, laid out with the shared segment first.
 
 Cross-attention writes into the abstract token only; that content reaches
-the patch tokens through the next layer's self-attention, so auxiliary
-information influences the forecast when the decoder has at least two
-layers (the default harness configuration uses L=2). The projection reads
+the patch tokens through the next layer's self-attention, so a model has
+L >= 2 decoder layers, or no parameter of the VE table, the encoder or the
+variable-wise projection would reach the forecast. The projection reads
 only the patch tokens, so the last decoder layer has no cross-attention
 and queries with the patch rows alone. The decoder and the head run in
 blocks of at most DECODE_BLOCK target sequences along the window axis
@@ -129,15 +129,13 @@ class PiXTime:
 
     def __init__(self, dims: ModelDims, node: NodeShapeConfig, seed: int = 0,
                  use_ve: bool = True):
-        for v in node.var_ids + [node.target_id]:
-            if not 0 <= v < dims.n_all:
-                raise CategoryError(
-                    f"variable category {v} outside table of size {dims.n_all}"
-                )
+        if dims.L < 2:  # only a decoder layer before the last reads the auxiliaries
+            raise ConfigError(f"L={dims.L} must be >= 2")
         if node.T % node.PL != 0:
             raise ShapeError(f"look-back T={node.T} is not a multiple of patch length "
                              f"PL={node.PL}")
         self.dims = dims
+        self._categories(node.var_ids + [node.target_id])
         self.node = node
         self.use_ve = use_ve
         self.params: dict[str, Parameter] = {}
@@ -252,6 +250,14 @@ class PiXTime:
         self.proj_w = self._param("projection.weight", (node.M * D, node.S), "xavier")
         self.proj_b = self._param("projection.bias", (node.S,))
 
+    def _categories(self, ids) -> list:
+        """`ids` as a list, each checked to be a row of the VE table."""
+        for v in ids:
+            if not 0 <= v < self.dims.n_all:
+                raise CategoryError(f"variable category {v} outside table of size "
+                                    f"{self.dims.n_all}")
+        return list(ids)
+
     def shared_views(self, flat: np.ndarray) -> dict:
         """Name -> view of `flat`, a vector laid out like the shared segment."""
         return named_views(flat, self.shared_shapes)
@@ -285,7 +291,7 @@ class PiXTime:
         category embedding looked up for var_ids[c].
         """
         Z = as_tensor(Z)
-        ids = self.node.var_ids if var_ids is None else list(var_ids)
+        ids = self.node.var_ids if var_ids is None else self._categories(var_ids)
         if Z.shape[-1] != len(ids):
             raise ShapeError(
                 f"auxiliary matrix has {Z.shape[-1]} columns but {len(ids)} ids given"
@@ -294,11 +300,6 @@ class PiXTime:
             raise ShapeError(
                 f"expected look-back {self.node.T}, got auxiliary window {Z.shape[-2]}"
             )
-        for v in ids:
-            if not 0 <= v < self.dims.n_all:
-                raise CategoryError(
-                    f"variable category {v} outside table of size {self.dims.n_all}"
-                )
         tokens = ad.linear(ad.swapaxes(Z, -1, -2), self.ve_w, self.ve_b)
         if self.use_ve:
             tokens = ad.add(tokens, ad.gather_rows(self.ve_table, ids))
@@ -394,8 +395,7 @@ class PiXTime:
         """
         series = as_tensor(all_series)
         ids = list(var_ids) if var_ids is not None else [self.node.target_id] + self.node.var_ids
-        n_var = len(ids)
-        if n_var < 1:
+        if not ids:
             raise ConfigError("m2m requires at least one variable")
         return self.forward(ad.swapaxes(series, -1, -2), series, ids)
 

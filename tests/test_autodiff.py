@@ -413,13 +413,13 @@ def test_forward_determinism_bit_identical():
 
 
 # ---------------------------------------------------------------------------
-# per-op gradients against central finite differences
+# per-op gradients against directional central finite differences
 # ---------------------------------------------------------------------------
 
 def _fd_check(build_loss, param):
-    """Central finite differences on every coordinate of `param` (`optim.grad_check`)."""
+    """Central finite differences along random directions of `param` (`optim.grad_check`)."""
     report = grad_check(build_loss, {param.name: param})
-    assert report.max_rel_error < 1e-4, report
+    assert report.max_rel_error < 1e-5, report
 
 
 @pytest.mark.parametrize("seed", range(20))

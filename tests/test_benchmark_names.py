@@ -61,7 +61,7 @@ def test_benchmark_workload_smoke_pass(name):
 def _small_config(tmp_path, mode):
     return harness.ExperimentConfig.from_dict({
         "mode": mode, "dataset": {"synthetic": {"n_vars": 3, "length": 1000}},
-        "D": 4, "L": 1, "H": 1, "d_ff": 4,
+        "D": 4, "L": 2, "H": 1, "d_ff": 4,
         "network": {"n_nodes": 2, "strides": [1, 2], "T": 8, "S": 4, "PL": 4},
         "optimizer": {"epochs": 1}, "rounds": 1, "out_dir": str(tmp_path / "out"),
     })

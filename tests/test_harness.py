@@ -36,7 +36,7 @@ def small_config(tmp_path, mode="federated", **overrides):
     raw = {
         "mode": mode,
         "dataset": {"synthetic": {"n_vars": 4, "length": 1000}},
-        "D": 8, "L": 1, "H": 2, "d_ff": 16,
+        "D": 8, "L": 2, "H": 2, "d_ff": 16,
         "network": {"n_nodes": 2, "strides": [1, 1], "T": 24, "S": 8, "PL": 4},
         "optimizer": {"lr": 1e-3, "batch_size": 32, "epochs": 1},
         "rounds": 2,
@@ -85,7 +85,7 @@ def test_invalid_configs_rejected_before_any_training(tmp_path, patch):
     raw = {
         "mode": "federated",
         "dataset": {"synthetic": {"n_vars": 4, "length": 1000}},
-        "D": 8, "L": 1, "H": 2, "d_ff": 16,
+        "D": 8, "L": 2, "H": 2, "d_ff": 16,
         "network": {"n_nodes": 2, "strides": [1, 1], "T": 24, "S": 8, "PL": 4},
         "optimizer": {"lr": 1e-3},
         "rounds": 2, "seed": 0, "out_dir": str(tmp_path / "out"),
@@ -109,7 +109,7 @@ VALID_RAW = {
     "mode": "federated",
     "dataset": {"csv": None, "synthetic": {"n_vars": 4, "length": 1000, "seed": 0},
                 "split": {"train": 0.7, "val": 0.1, "test": 0.2}},
-    "D": 8, "L": 1, "H": 2, "d_ff": 16,
+    "D": 8, "L": 2, "H": 2, "d_ff": 16,
     "network": {"n_nodes": 2, "strides": [1, 1], "subset_size": None,
                 "T": 24, "S": 8, "PL": 4, "target_id": 0},
     "optimizer": {"lr": 1e-3, "batch_size": 32, "epochs": 1,
@@ -179,7 +179,7 @@ def test_any_json_value_in_any_field_is_rejected_or_typed(path, value):
 # the least value of every integer a config holds, as the README's
 # "Configuration" notes document it; a list field stands for its elements
 DOCUMENTED_MINIMA = {
-    "D": 1, "L": 1, "H": 1, "d_ff": 1, "rounds": 0, "seed": 0, "n_seeds": 1,
+    "D": 1, "L": 2, "H": 1, "d_ff": 1, "rounds": 0, "seed": 0, "n_seeds": 1,
     "ablation_stride": 2, "subset_sizes[0]": 1,
     "network.n_nodes": 1, "network.strides[0]": 1, "network.subset_size": 1,
     "network.T": 1, "network.S": 1, "network.PL": 1, "network.target_id": 0,
@@ -429,7 +429,7 @@ def test_build_nodes_splits_each_granularitys_windows_among_its_nodes(strides, l
     T, S = 8, 4
     raw = {"dataset": {"synthetic": {"n_vars": 3, "length": 1000},
                        "split": {"train": train, "val": val, "test": 1.0 - train - val}},
-           "D": 4, "L": 1, "H": 1, "d_ff": 4,
+           "D": 4, "L": 2, "H": 1, "d_ff": 4,
            "network": {"n_nodes": len(strides), "strides": strides, "T": T, "S": S, "PL": 4}}
     config = ExperimentConfig.from_dict(raw)
     series = np.random.default_rng(0).standard_normal((length, 3))
@@ -444,9 +444,9 @@ def test_build_nodes_splits_each_granularitys_windows_among_its_nodes(strides, l
     if not all(e["test"] for e in expected.values()):
         # every mode scores the test split, so a node without a test window is a config error
         with pytest.raises(ConfigError, match=r"^dataset\.split\.test=.* holds no window"):
-            harness.build_nodes(config, series, ModelDims(4, 1, 1, 4, 3), seed=0)
+            harness.build_nodes(config, series, ModelDims(4, 2, 1, 4, 3), seed=0)
         return
-    nodes = harness.build_nodes(config, series, ModelDims(4, 1, 1, 4, 3), seed=0)
+    nodes = harness.build_nodes(config, series, ModelDims(4, 2, 1, 4, 3), seed=0)
     for k, windows in expected.items():
         group = [node for node, stride in zip(nodes, strides) if stride == k]
         for split in ("train", "val"):
@@ -590,7 +590,7 @@ def test_ablate_ve_report_pairs_variants(tmp_path):
 def _write_config(tmp_path, **overrides):
     raw = {
         "dataset": {"synthetic": {"n_vars": 4, "length": 1000}},
-        "D": 8, "L": 1, "H": 2, "d_ff": 16,
+        "D": 8, "L": 2, "H": 2, "d_ff": 16,
         "network": {"n_nodes": 2, "strides": [1, 1], "T": 24, "S": 8, "PL": 4},
         "optimizer": {"lr": 1e-3, "epochs": 1},
         "rounds": 1,
@@ -681,6 +681,7 @@ def _synthetic(**fields):
     {"optimizer": {"lr": 1e-3, "epochs": 0}},
     {"dataset": {"synthetic": {"n_vars": 4, "length": 1000},
                  "split": {"train": "a", "val": 0.1, "test": 0.2}}},
+    {"L": 1},  # a one-layer decoder: nothing of the auxiliaries reaches the forecast
 ])
 def test_cli_rejects_bad_values_with_exit_2_before_any_io(tmp_path, capsys, monkeypatch,
                                                           overrides):

@@ -19,7 +19,7 @@ from pixtime.errors import CategoryError, ConfigError, ShapeError
 
 
 def tiny_model(seed=0, use_ve=True, n_all=4):
-    dims = ModelDims(D=8, L=1, H=2, d_ff=16, n_all=n_all)
+    dims = ModelDims(D=8, L=2, H=2, d_ff=16, n_all=n_all)
     cfg = NodeShapeConfig(node_id=0, T=8, S=4, PL=4, var_ids=[1, 2], target_id=0)
     return PiXTime(dims, cfg, seed=seed, use_ve=use_ve)
 
@@ -74,7 +74,7 @@ def _patches(x, PL):
     identity projection, which copies each patch exactly."""
     x = np.asarray(x, dtype=float)
     cfg = NodeShapeConfig(node_id=0, T=x.shape[-1], S=1, PL=PL, var_ids=[1], target_id=0)
-    model = PiXTime(ModelDims(D=PL, L=1, H=1, d_ff=2, n_all=2), cfg)
+    model = PiXTime(ModelDims(D=PL, L=2, H=1, d_ff=2, n_all=2), cfg)
     model.patch_w.data[...] = np.eye(PL)
     return model.patch_embed(x).data[..., 1:, :]
 
@@ -98,11 +98,19 @@ def test_patch_split_roundtrip_is_exact():
     assert np.array_equal(_patches(x, 4).reshape(3, -1), x)
 
 
+def test_a_model_with_one_decoder_layer_is_a_config_error_naming_l():
+    # at L=1 the only decoder layer is the last, which has no cross-attention,
+    # so nothing of the auxiliaries could reach the forecast
+    cfg = NodeShapeConfig(node_id=0, T=8, S=4, PL=4, var_ids=[1, 2], target_id=0)
+    with pytest.raises(ConfigError, match=r"\bL=1 must be >= 2"):
+        PiXTime(ModelDims(D=8, L=1, H=2, d_ff=16, n_all=4), cfg)
+
+
 def test_patch_split_error_names_lengths():
     # the geometry is checked once, when the model is built
     cfg = NodeShapeConfig(node_id=0, T=7, S=1, PL=3, var_ids=[1], target_id=0)
     with pytest.raises(ShapeError, match="T=7 is not a multiple of patch length PL=3"):
-        PiXTime(ModelDims(D=4, L=1, H=1, d_ff=2, n_all=2), cfg)
+        PiXTime(ModelDims(D=4, L=2, H=1, d_ff=2, n_all=2), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +134,7 @@ def test_patch_embed_row0_is_abstract_token():
 
 
 def test_patch_embed_hand_matmul():
-    dims = ModelDims(D=3, L=1, H=1, d_ff=4, n_all=2)
+    dims = ModelDims(D=3, L=2, H=1, d_ff=4, n_all=2)
     cfg = NodeShapeConfig(node_id=0, T=4, S=2, PL=2, var_ids=[1], target_id=0)
     model = PiXTime(dims, cfg, seed=0)
     W = np.array([[1.0, 0.0, 2.0], [0.5, -1.0, 0.0]])
@@ -169,7 +177,7 @@ def test_variable_embed_zero_linear_returns_table_rows():
 
 
 def test_variable_embed_hand_case():
-    dims = ModelDims(D=3, L=1, H=1, d_ff=4, n_all=3)
+    dims = ModelDims(D=3, L=2, H=1, d_ff=4, n_all=3)
     cfg = NodeShapeConfig(node_id=0, T=4, S=2, PL=2, var_ids=[0, 2], target_id=1)
     model = PiXTime(dims, cfg, seed=1)
     rng = np.random.default_rng(4)
@@ -209,17 +217,19 @@ def test_aux_encoder_permutation_equivariant():
 
 
 def test_aux_encoder_matches_staged_oracle():
-    dims = ModelDims(D=4, L=1, H=1, d_ff=6, n_all=3)
+    dims = ModelDims(D=4, L=2, H=1, d_ff=6, n_all=3)
     cfg = NodeShapeConfig(node_id=0, T=4, S=2, PL=2, var_ids=[1, 2], target_id=0)
     model = PiXTime(dims, cfg, seed=7)
     p = np_values(model)
     rng = np.random.default_rng(7)
     V = rng.standard_normal((2, 4))
 
-    att = np_attention(V, V, V, p, "aux_encoder.layer0.self_att", 1)
-    h = np_layer_norm(V + att, p["aux_encoder.layer0.ln1.gain"], p["aux_encoder.layer0.ln1.bias"])
-    f = np_ffn(h, p, "aux_encoder.layer0.ffn")
-    expected = np_layer_norm(h + f, p["aux_encoder.layer0.ln2.gain"], p["aux_encoder.layer0.ln2.bias"])
+    expected = V
+    for prefix in ("aux_encoder.layer0", "aux_encoder.layer1"):
+        att = np_attention(expected, expected, expected, p, f"{prefix}.self_att", 1)
+        h = np_layer_norm(expected + att, p[f"{prefix}.ln1.gain"], p[f"{prefix}.ln1.bias"])
+        f = np_ffn(h, p, f"{prefix}.ffn")
+        expected = np_layer_norm(h + f, p[f"{prefix}.ln2.gain"], p[f"{prefix}.ln2.bias"])
 
     out = model.aux_encoder(Tensor(V)).data
     assert np.max(np.abs(out - expected)) < 1e-10
@@ -373,13 +383,15 @@ def test_projection_ignores_abstract_token_row():
     rng = np.random.default_rng(12)
     x, Z = rng.standard_normal(8), rng.standard_normal((8, 2))
     v_enc = model.aux_encoder(model.variable_embed(Z))
-    tokens = model.decoder_layer(model.patch_embed(x), v_enc, model.dims.L - 1)
+    tokens = model.decoder_layer(model.patch_embed(x), v_enc, 0)
+    assert tokens.shape == (3, 8)
+    tokens = model.decoder_layer(tokens, v_enc, model.dims.L - 1)
     assert tokens.shape == (2, 8)
     assert np.array_equal(model.projection(tokens).data, model.forward(x, Z).data)
 
 
 def test_projection_hand_case():
-    dims = ModelDims(D=2, L=1, H=1, d_ff=4, n_all=2)
+    dims = ModelDims(D=2, L=2, H=1, d_ff=4, n_all=2)
     cfg = NodeShapeConfig(node_id=0, T=4, S=3, PL=2, var_ids=[1], target_id=0)
     model = PiXTime(dims, cfg, seed=13)
     rng = np.random.default_rng(13)
@@ -407,7 +419,7 @@ HETERO_CONFIGS = [
 
 @pytest.mark.parametrize("T,PL,C,S", HETERO_CONFIGS)
 def test_forward_output_length_matches_horizon(T, PL, C, S):
-    dims = ModelDims(D=8, L=1, H=2, d_ff=16, n_all=9)
+    dims = ModelDims(D=8, L=2, H=2, d_ff=16, n_all=9)
     cfg = NodeShapeConfig(
         node_id=0, T=T, S=S, PL=PL, var_ids=list(range(1, C + 1)), target_id=0
     )
@@ -472,7 +484,7 @@ def test_m2m_single_variable_equals_u2u():
 
 @pytest.mark.parametrize("n_var", [2, 5])
 def test_m2m_output_shape(n_var):
-    dims = ModelDims(D=8, L=1, H=2, d_ff=16, n_all=6)
+    dims = ModelDims(D=8, L=2, H=2, d_ff=16, n_all=6)
     cfg = NodeShapeConfig(node_id=0, T=8, S=4, PL=4, var_ids=[1, 2], target_id=0)
     model = PiXTime(dims, cfg, seed=19)
     series = np.random.default_rng(19).standard_normal((8, n_var))
@@ -633,7 +645,7 @@ def test_forward_gradients_match_finite_differences():
     x, Z = rng.standard_normal(8), rng.standard_normal((8, 2))
     y = rng.standard_normal(4)
     report = grad_check(lambda: mse(model.forward(x, Z), y), model.params)
-    assert report.max_rel_error < 1e-4, str(report)
+    assert report.max_rel_error < 1e-5, str(report)
 
 
 def test_u2u_gradients_match_finite_differences():
@@ -641,24 +653,24 @@ def test_u2u_gradients_match_finite_differences():
     rng = np.random.default_rng(23)
     x, y = rng.standard_normal(8), rng.standard_normal(4)
     report = grad_check(lambda: mse(model.u2u_forward(x), y), model.params)
-    assert report.max_rel_error < 1e-4, str(report)
+    assert report.max_rel_error < 1e-5, str(report)
 
 
-# u2u has one variable token, so each encoder self-attention and the
+# u2u has one variable token, so each encoder self-attention and each
 # cross-attention see a single key: the softmax is constant and these
 # query/key weights get an exactly-zero gradient by the math
-U2U_ZERO_GRADIENT = frozenset(
-    f"{block}.{name}"
-    for block in ("aux_encoder.layer0.self_att", "aux_encoder.layer1.self_att",
-                  "target_decoder.layer0.cross_att")
-    for name in ("w_q", "b_q", "w_k")
-)
+def u2u_zero_gradient(L):
+    blocks = [f"aux_encoder.layer{i}.self_att" for i in range(L)]
+    blocks += [f"target_decoder.layer{i}.cross_att" for i in range(L - 1)]
+    return frozenset(f"{block}.{name}" for block in blocks for name in ("w_q", "b_q", "w_k"))
 
 
-@pytest.mark.parametrize("use_ve", [True, False])
-def test_every_live_parameter_gets_a_gradient(use_ve):
+# ids name L only where it is not the default 2
+@pytest.mark.parametrize("use_ve, L", [(True, 2), (False, 2), (True, 3), (False, 3)],
+                         ids=["True", "False", "True-L3", "False-L3"])
+def test_every_live_parameter_gets_a_gradient(use_ve, L):
     # without the table addition the model must not hold a table at all
-    dims = ModelDims(D=32, L=2, H=4, d_ff=64, n_all=8)
+    dims = ModelDims(D=32, L=L, H=4, d_ff=64, n_all=8)
     cfg = NodeShapeConfig(node_id=0, T=96, S=24, PL=16, var_ids=list(range(1, 8)), target_id=0)
     model = PiXTime(dims, cfg, seed=33, use_ve=use_ve)
     rng = np.random.default_rng(33)
@@ -668,7 +680,7 @@ def test_every_live_parameter_gets_a_gradient(use_ve):
         "m2u": (lambda: model.forward(x, Z), rng.standard_normal((32, 24)), frozenset()),
         "m2m": (lambda: model.m2m_forward(series), rng.standard_normal((32, 8, 24)),
                 frozenset()),
-        "u2u": (lambda: model.u2u_forward(x), rng.standard_normal((32, 24)), U2U_ZERO_GRADIENT),
+        "u2u": (lambda: model.u2u_forward(x), rng.standard_normal((32, 24)), u2u_zero_gradient(L)),
     }
     for mode, (run, y, exempt) in runs.items():
         model.grads[...] = 0.0
@@ -789,7 +801,7 @@ def _replayed_values(dims, cfg, seed, use_ve):
 
 
 @pytest.mark.parametrize("use_ve", [True, False])
-@pytest.mark.parametrize("L", [1, 2])
+@pytest.mark.parametrize("L", [2, 3])
 def test_initial_values_equal_one_draw_per_parameter_in_build_order(L, use_ve):
     dims = ModelDims(D=8, L=L, H=2, d_ff=16, n_all=5)
     cfg = NodeShapeConfig(node_id=0, T=12, S=4, PL=4, var_ids=[1, 2], target_id=0)

@@ -1,4 +1,4 @@
-"""Adam update rule and the finite-difference gradient checker."""
+"""Adam update rule and the directional finite-difference gradient checker."""
 
 import numpy as np
 import pytest
@@ -12,10 +12,12 @@ from pixtime import (
     Tensor,
     backward,
     grad_check,
+    linear,
     matmul,
     mse,
 )
 from pixtime.errors import DeterminismError
+from pixtime.optim import DIRECTIONS
 
 
 def scripted_adam(values, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -68,7 +70,7 @@ def test_five_step_sequence_matches_scripted_recurrence():
 def test_model_adam_matches_scripted_recurrence_per_parameter():
     # one step over the model's flat vectors updates every parameter as
     # its own Adam would
-    dims = ModelDims(D=8, L=1, H=2, d_ff=16, n_all=4)
+    dims = ModelDims(D=8, L=2, H=2, d_ff=16, n_all=4)
     cfg = NodeShapeConfig(node_id=0, T=8, S=4, PL=4, var_ids=[1, 2], target_id=0)
     model = PiXTime(dims, cfg, seed=5)
     lr = 1e-2
@@ -130,3 +132,22 @@ def test_grad_check_rejects_nondeterministic_function():
 
     with pytest.raises(DeterminismError):
         grad_check(f, {"w": w})
+
+
+def test_grad_check_costs_a_fixed_number_of_calls_per_parameter_and_restores_values():
+    # 4 calls per direction whatever a parameter's size, plus 3 up front
+    rng = np.random.default_rng(1)
+    x, target = Tensor(rng.standard_normal((5, 7))), Tensor(rng.standard_normal((5, 3)))
+    w = Parameter("w", rng.standard_normal((7, 3)))
+    b = Parameter("b", rng.standard_normal(3))
+    before = w.data.copy(), b.data.copy()
+    calls = []
+
+    def f():
+        calls.append(None)
+        return mse(linear(x, w, b), target)
+
+    report = grad_check(f, {"w": w, "b": b})
+    assert report.max_rel_error < 1e-8
+    assert len(calls) == 3 + 2 * 4 * DIRECTIONS
+    assert w.data.tobytes() == before[0].tobytes() and b.data.tobytes() == before[1].tobytes()
